@@ -131,6 +131,25 @@ pub enum Instr {
 }
 
 impl Instr {
+    /// `(cycles, retired)` of a *core-local, PMU-silent* instruction —
+    /// `Imm`, `Mov`, `Alu`, `AluImm`, `Nop`, `Burst` — or `None` for any
+    /// other instruction. These touch only registers, the clock and the
+    /// `Cycles`/`Instructions` events, so a straight-line run of them can
+    /// be priced once ([`crate::block::BlockMap`]) and executed as one unit.
+    #[inline]
+    pub fn local_cost(&self, cost: &crate::cost::CostModel) -> Option<(u64, u64)> {
+        match *self {
+            Instr::Imm(..) | Instr::Mov(..) | Instr::Alu(..) | Instr::AluImm(..) | Instr::Nop => {
+                Some((cost.alu, 1))
+            }
+            Instr::Burst(n) => {
+                let n = n.max(1) as u64;
+                Some((n, n))
+            }
+            _ => None,
+        }
+    }
+
     /// Whether this instruction is *core-local*: it touches only the
     /// executing core's registers, predictor, shadow stack, clock, and
     /// batched PMU accrual — never guest memory, the cache hierarchy, the
@@ -145,11 +164,10 @@ impl Instr {
     /// machine's runtime [`crate::cost::CostModel`] so what-if arms with
     /// scaled costs stay correct.
     pub fn run_ahead_bound(&self, cost: &crate::cost::CostModel) -> Option<u64> {
+        if let Some((cycles, _)) = self.local_cost(cost) {
+            return Some(cycles);
+        }
         match *self {
-            Instr::Imm(..) | Instr::Mov(..) | Instr::Alu(..) | Instr::AluImm(..) | Instr::Nop => {
-                Some(cost.alu)
-            }
-            Instr::Burst(n) => Some(n.max(1) as u64),
             Instr::Br(..) => Some(cost.branch + cost.branch_miss_penalty),
             Instr::Jmp(..) => Some(cost.branch),
             Instr::Call(..) | Instr::Ret => Some(cost.call),
@@ -158,15 +176,7 @@ impl Instr {
             // syscalls and halts enter the kernel; counter reads and tag
             // changes observe/flush architected PMU state. All must execute
             // in exact (clock, core-id) arbitration order.
-            Instr::Load(..)
-            | Instr::Store(..)
-            | Instr::Xchg(..)
-            | Instr::FetchAdd(..)
-            | Instr::Rdpmc(..)
-            | Instr::RdpmcClear(..)
-            | Instr::SetTag(..)
-            | Instr::Syscall(..)
-            | Instr::Halt => None,
+            _ => None,
         }
     }
 }

@@ -36,7 +36,7 @@ pub mod verify;
 
 pub use crate::core::{Core, Mode, Step, Trap};
 pub use asm::Asm;
-pub use block::{Block, BlockMap};
+pub use block::{BlockMap, LocalRun};
 pub use cost::CostModel;
 pub use events::EventKind;
 pub use gmem::{GuestMem, MemLayout};

@@ -7,6 +7,7 @@
 //! interrupts between steps — giving interrupt semantics at instruction
 //! granularity, which is what the LiMiT read-race reproduction requires.
 
+use crate::block::LocalRun;
 use crate::core::{Core, Mode, Step, Trap};
 use crate::cost::CostModel;
 use crate::events::EventKind;
@@ -15,6 +16,7 @@ use crate::isa::Instr;
 use crate::oracle::Oracle;
 use crate::pmu::PmuConfig;
 use crate::prog::Program;
+use crate::regs::Context;
 use flight::{EventData, FlightConfig, FlightRecorder, RegionMark};
 use serde::{Deserialize, Serialize};
 use sim_core::{CoreId, Freq, SimError, SimResult};
@@ -71,8 +73,8 @@ impl MachineConfig {
 }
 
 /// Per-run bounds and boundary tables the kernel hands to
-/// [`Machine::run_until`] — the kernel telling the machine how far it may
-/// run before the next kernel-visible poll point.
+/// [`Machine::run_until_with`] — the kernel telling the machine how far it
+/// may run before the next kernel-visible poll point.
 #[derive(Debug, Clone, Copy)]
 pub struct RunLimits<'a> {
     /// Per-core clock thresholds (indexed by core number): the earliest of
@@ -87,8 +89,10 @@ pub struct RunLimits<'a> {
     /// pc is an execution boundary the kernel single-steps across.
     pub armed_pcs: Option<&'a [bool]>,
     /// Per-pc registered-LiMiT-range table (from
-    /// [`crate::block::BlockMap`]): in-range pcs execute with direct
-    /// per-instruction accrual.
+    /// [`crate::block::BlockMap`]): in-range pcs end local runs and wait
+    /// for the arbitration minimum, one instruction at a time; their
+    /// events still accrue in the batch (exact: see
+    /// [`Machine::run_until_with`]).
     pub in_limit: &'a [bool],
 }
 
@@ -334,31 +338,14 @@ impl Machine {
         }
 
         match instr {
-            Instr::Imm(rd, v) => {
-                cycles = cost.alu;
-                self.cores[core_idx].ctx.set(rd, v);
-            }
-            Instr::Mov(rd, rs) => {
-                cycles = cost.alu;
-                let v = self.cores[core_idx].ctx.get(rs);
-                self.cores[core_idx].ctx.set(rd, v);
-            }
-            Instr::Alu(op, rd, rs) => {
-                cycles = cost.alu;
-                let ctx = &mut self.cores[core_idx].ctx;
-                let v = op.apply(ctx.get(rd), ctx.get(rs));
-                ctx.set(rd, v);
-            }
-            Instr::AluImm(op, rd, v) => {
-                cycles = cost.alu;
-                let ctx = &mut self.cores[core_idx].ctx;
-                let nv = op.apply(ctx.get(rd), v);
-                ctx.set(rd, nv);
-            }
-            Instr::Burst(n) => {
-                let n = n.max(1) as u64;
-                cycles = n;
-                instrs = n;
+            Instr::Imm(..)
+            | Instr::Mov(..)
+            | Instr::Alu(..)
+            | Instr::AluImm(..)
+            | Instr::Burst(_)
+            | Instr::Nop => {
+                apply_local(&mut self.cores[core_idx].ctx, instr);
+                (cycles, instrs) = instr.local_cost(&cost).unwrap_or_default();
             }
             Instr::Load(rd, ra, off) => {
                 let addr = self.cores[core_idx]
@@ -430,24 +417,14 @@ impl Machine {
                 Self::mem_access_events(core, &acc);
                 cycles = cost.mem_issue + acc.latency + cost.atomic_penalty;
             }
-            Instr::Br(cond, a, b, target) => {
+            Instr::Br(..) | Instr::Jmp(_) => {
                 let core = &mut self.cores[core_idx];
-                let taken = cond.eval(core.ctx.get(a), core.ctx.get(b));
-                let missed = core.predictor.observe(pc, taken);
-                if taken {
-                    next_pc = target;
-                }
-                cycles = cost.branch + if missed { cost.branch_miss_penalty } else { 0 };
+                let missed;
+                (next_pc, cycles, missed) = resolve_branch(core, pc, instr, &cost);
                 Self::count(core, EventKind::Branches, 1);
                 if missed {
                     Self::count(core, EventKind::BranchMisses, 1);
                 }
-            }
-            Instr::Jmp(target) => {
-                cycles = cost.branch;
-                next_pc = target;
-                let core = &mut self.cores[core_idx];
-                Self::count(core, EventKind::Branches, 1);
             }
             Instr::Call(target) => {
                 cycles = cost.call;
@@ -527,9 +504,6 @@ impl Machine {
             Instr::Syscall(nr) => {
                 cycles = cost.alu;
                 trap = Some(Trap::Syscall(nr));
-            }
-            Instr::Nop => {
-                cycles = cost.alu;
             }
             Instr::Halt => {
                 cycles = cost.alu;
@@ -692,6 +666,11 @@ impl Machine {
     /// spilled modulus lands in its guest-memory accumulator and the spill
     /// microcode cost lands on the clock.
     fn apply_spills(&mut self, core_idx: usize) {
+        // Spills only appear after an armed self-virtualizing counter
+        // wraps; almost every step has none to drain.
+        if !self.cores[core_idx].pmu.has_spills() {
+            return;
+        }
         let spills = self.cores[core_idx].pmu.take_spills();
         for spill in spills {
             // Spill addresses are validated (aligned) at configuration time
@@ -739,7 +718,33 @@ impl Machine {
     /// slot can have wrapped *before* the instruction at which the flush
     /// happens. The overflow is therefore delivered at the same instruction
     /// boundary per-instruction accrual would deliver it.
+    ///
+    /// This form executes one instruction at a time; the kernel calls
+    /// [`Machine::run_until_with`], which also executes local runs as units.
     pub fn run_until(&mut self, limits: &RunLimits) -> SimResult<RunExit> {
+        self.run_until_with(limits, &[])
+    }
+
+    /// [`Machine::run_until`] with the local-run table `runs`
+    /// ([`crate::block::BlockMap::runs`], built for this program against
+    /// the same ranges and armed pcs as `limits` and this machine's cost
+    /// model). With every per-instruction observer off, a pc that starts a
+    /// run executes the whole run, plus its branch tail, as one unit —
+    /// registers through the same helper a step uses, then clock, retired
+    /// count and batched events added once — whenever the unit provably
+    /// ends before every poll point and every armed-counter overflow:
+    ///
+    /// * `clock + cycles + worst branch < min(stop_at, wake_at)`, so no
+    ///   instruction inside it could have met a stop, wake or run-ahead
+    ///   bound (each of which is checked against a clock no later than
+    ///   the unit's end);
+    /// * `batch.total + events + worst branch events < batch.headroom`, so
+    ///   the headroom guard would have flushed after none of them.
+    ///
+    /// A run holds no in-range or armed pc, and a PMI can only appear at a
+    /// flush, so no other per-instruction check could fire inside it. If
+    /// either bound fails, the pc executes one instruction at a time.
+    pub fn run_until_with(&mut self, limits: &RunLimits, runs: &[LocalRun]) -> SimResult<RunExit> {
         // One gate check per run (not per instruction): with every
         // per-instruction observer off, steps dispatch to the monomorphized
         // fast body whose trace/oracle/flight taps compile out.
@@ -790,9 +795,9 @@ impl Machine {
                 break RunExit::Idle;
             }
             let r = if fast {
-                self.run_core::<true>(first, others_min, limits)?
+                self.run_core::<true>(first, others_min, limits, runs)?
             } else {
-                self.run_core::<false>(first, others_min, limits)?
+                self.run_core::<false>(first, others_min, limits, runs)?
             };
             match r {
                 Some(exit) => break exit,
@@ -815,9 +820,11 @@ impl Machine {
         idx: usize,
         others_min: (u64, u32),
         limits: &RunLimits,
+        runs: &[LocalRun],
     ) -> SimResult<Option<RunExit>> {
         let id = self.cores[idx].id;
         let stop = limits.stop_at.get(idx).copied().unwrap_or(u64::MAX);
+        let unit_limit = stop.min(limits.wake_at);
         // An unconsumed spill journal must reach the kernel before this
         // core executes anything further: the kernel consults the journal
         // only for the arbitration-minimum core, so a journaled core that
@@ -831,6 +838,18 @@ impl Machine {
             if core.pmu.spill_journal() > 0 {
                 let ahead = (core.clock, id.0) >= others_min;
                 return Ok((!ahead).then_some(RunExit::SpillJournal(id)));
+            }
+        }
+        // Batching stays on until the run exits, LiMiT read sequences
+        // included: `rdpmc` flushes before it reads, the headroom guard
+        // flushes at the instruction whose events overflow an armed
+        // counter, and every exit settles — so the PMU is exact wherever
+        // the guest or the kernel can observe it.
+        {
+            let core = &mut self.cores[idx];
+            if !core.batch.active {
+                core.batch.active = true;
+                core.batch.headroom = core.pmu.armed_headroom();
             }
         }
         loop {
@@ -858,10 +877,18 @@ impl Machine {
                     return Ok((!ahead).then_some(RunExit::Boundary(id)));
                 }
             }
-            // Registered LiMiT read sequences keep direct per-instruction
-            // accrual: per-pc precision is what the restart fix-up relies
-            // on. The batch stays settled across a whole in-range sequence
-            // and reactivates at the first out-of-range pc.
+            // A local run executes as one unit when it provably crosses no
+            // poll point and no armed overflow (see `run_until_with`);
+            // ahead or not, every instruction in it would have run.
+            if FAST {
+                if let Some(&run) = runs.get(pc as usize) {
+                    if run.len > 0 && self.run_local(idx, pc, run, unit_limit) {
+                        continue;
+                    }
+                }
+            }
+            // Registered LiMiT read sequences run one instruction at a
+            // time: the restart fix-up can rewind onto any of their pcs.
             let in_range = limits.in_limit.get(pc as usize).copied().unwrap_or(false);
             if ahead {
                 // Run-ahead: a core past the arbitration minimum may keep
@@ -885,20 +912,9 @@ impl Machine {
                     _ => return Ok(None),
                 }
             }
-            {
-                let core = &mut self.cores[idx];
-                if in_range {
-                    if core.batch.active {
-                        core.settle_batch();
-                    }
-                } else if !core.batch.active {
-                    core.batch.active = true;
-                    core.batch.headroom = core.pmu.armed_headroom();
-                }
-            }
             let step = self.step_impl::<FAST>(id)?;
             let core = &mut self.cores[idx];
-            if core.batch.active && core.batch.total >= core.batch.headroom {
+            if core.batch.total >= core.batch.headroom {
                 // An armed counter may have wrapped during this
                 // instruction: deliver now, so the PMI or spill lands at
                 // the same boundary per-instruction accrual gives it.
@@ -927,6 +943,62 @@ impl Machine {
         }
     }
 
+    /// Executes the local run `run` at `pc` on core `idx`, plus its branch
+    /// tail, as one unit — if it ends before `limit` (the earlier of the
+    /// core's stop threshold and the wake-up time) and its events fit the
+    /// batch headroom, with the branch bounded by its mispredicted cost.
+    /// Returns whether it ran; on `false` nothing changed.
+    #[inline(always)]
+    fn run_local(&mut self, idx: usize, pc: u32, run: LocalRun, limit: u64) -> bool {
+        let cost = &self.cost;
+        let core = &mut self.cores[idx];
+        // A branch adds its cycles plus one each to Instructions, Branches
+        // and (at worst) BranchMisses.
+        let (branch_cycles, branch_events) = if run.branch {
+            let worst = cost.branch.saturating_add(cost.branch_miss_penalty);
+            (worst, worst.saturating_add(3))
+        } else {
+            (0, 0)
+        };
+        let end_clock = core
+            .clock
+            .saturating_add(run.cycles)
+            .saturating_add(branch_cycles);
+        let events = run
+            .cycles
+            .saturating_add(run.instrs)
+            .saturating_add(branch_events);
+        if end_clock >= limit || core.batch.total.saturating_add(events) >= core.batch.headroom {
+            return false;
+        }
+        let start = pc as usize;
+        let end = start + run.len as usize;
+        for &instr in &self.prog.instrs[start..end] {
+            apply_local(&mut core.ctx, instr);
+        }
+        let (mut cycles, mut instrs, mut next) = (run.cycles, run.instrs, end as u32);
+        if run.branch {
+            let missed;
+            let branch_cost;
+            (next, branch_cost, missed) =
+                resolve_branch(core, end as u32, self.prog.instrs[end], cost);
+            cycles += branch_cost;
+            instrs += 1;
+            let batch = &mut core.batch;
+            batch.counts[EventKind::Branches.index()] += 1;
+            batch.counts[EventKind::BranchMisses.index()] += missed as u64;
+            batch.total += 1 + missed as u64;
+        }
+        core.ctx.pc = next;
+        core.clock += cycles;
+        core.retired += instrs;
+        let batch = &mut core.batch;
+        batch.counts[EventKind::Cycles.index()] += cycles;
+        batch.counts[EventKind::Instructions.index()] += instrs;
+        batch.total += cycles + instrs;
+        true
+    }
+
     /// Delivers every core's outstanding batched counts and deactivates
     /// batching; called at every `run_until` exit so kernel-side reads see
     /// exact PMU state. Final flushes cannot wrap an armed counter (the
@@ -953,6 +1025,39 @@ impl Machine {
     /// The maximum clock across all cores (the machine-wide "time now").
     pub fn global_clock(&self) -> u64 {
         self.cores.iter().map(|c| c.clock).max().unwrap_or(0)
+    }
+}
+
+/// Applies the register effect of a core-local, PMU-silent instruction
+/// ([`Instr::local_cost`]); `Nop` and `Burst` have none, and any other
+/// instruction is left alone. The one definition of these semantics,
+/// shared by per-instruction steps and local-run units.
+#[inline(always)]
+fn apply_local(ctx: &mut Context, instr: Instr) {
+    match instr {
+        Instr::Imm(rd, v) => ctx.set(rd, v),
+        Instr::Mov(rd, rs) => ctx.set(rd, ctx.get(rs)),
+        Instr::Alu(op, rd, rs) => ctx.set(rd, op.apply(ctx.get(rd), ctx.get(rs))),
+        Instr::AluImm(op, rd, v) => ctx.set(rd, op.apply(ctx.get(rd), v)),
+        _ => {}
+    }
+}
+
+/// Resolves the `Br` or `Jmp` at `pc` on `core`: `(next pc, cycles,
+/// mispredicted)`. A `Br` trains the predictor; a `Jmp` never misses. The
+/// caller accrues `Branches` (and `BranchMisses` on a miss).
+#[inline(always)]
+fn resolve_branch(core: &mut Core, pc: u32, instr: Instr, cost: &CostModel) -> (u32, u64, bool) {
+    match instr {
+        Instr::Br(cond, a, b, target) => {
+            let taken = cond.eval(core.ctx.get(a), core.ctx.get(b));
+            let missed = core.predictor.observe(pc, taken);
+            let next = if taken { target } else { pc + 1 };
+            let penalty = if missed { cost.branch_miss_penalty } else { 0 };
+            (next, cost.branch + penalty, missed)
+        }
+        Instr::Jmp(target) => (target, cost.branch, false),
+        _ => unreachable!("resolve_branch on {instr}"),
     }
 }
 

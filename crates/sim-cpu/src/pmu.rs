@@ -406,6 +406,12 @@ impl Pmu {
         std::mem::take(&mut self.pending_spills)
     }
 
+    /// Whether any hardware spill is pending (so the per-step drain can
+    /// skip [`Pmu::take_spills`] when there is nothing to apply).
+    pub(crate) fn has_spills(&self) -> bool {
+        !self.pending_spills.is_empty()
+    }
+
     /// Number of self-virtualizing spills since the journal was last
     /// consulted (the kernel-visible spill journal).
     pub fn spill_journal(&self) -> u64 {

@@ -188,8 +188,9 @@ pub struct Kernel {
     syscalls: u64,
     /// Disturbance injector for the torture harness (off by default).
     injector: Option<Injector>,
-    /// Predecoded block map for the fast path; rebuilt lazily after every
-    /// restart-range registration.
+    /// Predecoded block map (LiMiT-range and local-run tables) for the
+    /// fast path; rebuilt lazily after every restart-range registration
+    /// and injector change.
     blocks: Option<sim_cpu::BlockMap>,
     /// Reusable per-core stop-threshold buffer for the fast path.
     fast_stop: Vec<u64>,
@@ -235,6 +236,8 @@ impl Kernel {
             }
         }
         self.armed_pcs = Some(armed);
+        // Armed pcs end local runs: rebuild the block map lazily.
+        self.blocks = None;
     }
 
     /// The injector, if one is installed.
@@ -339,7 +342,8 @@ impl Kernel {
     pub fn register_restart_range(&mut self, start: u32, end: u32) -> RangeReg {
         let reg = self.limit.register_range(start, end);
         if reg == RangeReg::Registered {
-            // The block map's in-range table is stale; rebuild lazily.
+            // The block map's in-range and local-run tables are stale;
+            // rebuild lazily.
             self.blocks = None;
         }
         reg
@@ -532,12 +536,14 @@ impl Kernel {
     /// translates the exit. `None` means "nothing to dispatch — re-run the
     /// kernel's poll sequence"; `Some` carries a trap.
     fn fast_run(&mut self, next_fire: Option<u64>) -> SimResult<Option<(CoreId, sim_cpu::Step)>> {
-        if self.blocks.is_none() {
-            self.blocks = Some(sim_cpu::BlockMap::build(
+        let blocks = self.blocks.get_or_insert_with(|| {
+            sim_cpu::BlockMap::build(
                 &self.machine.prog,
                 self.limit.ranges(),
-            ));
-        }
+                self.armed_pcs.as_deref(),
+                self.machine.cost(),
+            )
+        });
         // A core must stop before the hook's next fire time, before its
         // slice expires (only enforceable while someone is waiting), and
         // before the cycle budget check would trip.
@@ -566,9 +572,9 @@ impl Kernel {
             stop_at: &self.fast_stop,
             wake_at,
             armed_pcs: self.armed_pcs.as_deref(),
-            in_limit: self.blocks.as_ref().expect("just built").in_limit(),
+            in_limit: blocks.in_limit(),
         };
-        match self.machine.run_until(&limits)? {
+        match self.machine.run_until_with(&limits, blocks.runs())? {
             sim_cpu::RunExit::Trap(core, step) => Ok(Some((core, step))),
             _ => Ok(None),
         }
