@@ -21,7 +21,7 @@
 
 use crate::spans;
 use analysis::{classify_fleet, FleetFindingKind, Table};
-use fleet::{draw_arrivals, run_fleet, simulate_queue, FleetConfig, Workload};
+use fleet::{draw_arrivals, run_fleet, simulate_queue, FleetConfig};
 
 /// One operating point of the sweep.
 #[derive(Debug, Clone)]
@@ -66,7 +66,6 @@ pub struct E15Result {
 /// fraction in `fracs`.
 pub fn run(instances: usize, fracs: &[f64], jobs: usize) -> Result<E15Result, String> {
     let base = FleetConfig {
-        workload: Workload::Mysqld,
         instances,
         threads: 2,
         queries: 12,

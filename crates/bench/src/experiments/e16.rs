@@ -33,7 +33,9 @@
 use crate::spans;
 use analysis::table::fmt_count;
 use analysis::{KnobClass, Table};
-use whatif::{run_whatif, MachineParams, WhatifConfig, WhatifReport, Workload};
+use whatif::{run_whatif, MachineParams, WhatifConfig, WhatifReport};
+use workloads::memcached::MemcachedConfig;
+use workloads::Workload;
 
 /// The two regions both shapes instrument.
 const REGIONS: [&str; 2] = ["mc.lock.acq", "mc.bucket.hold"];
@@ -86,12 +88,16 @@ impl E16Result {
 /// The lock-contended shape: ground truth says every region is bound on
 /// the lock's atomic RMWs.
 pub fn lock_config(queries: u64, jobs: usize) -> WhatifConfig {
-    let mut cfg = WhatifConfig::new(Workload::Memcached);
+    // One stripe; few buckets keep probes cache-resident; 16 in-section
+    // atomic RMWs (refcount/stats updates) make held time atomic-bound.
+    let mut cfg = WhatifConfig::new(Workload::Memcached(MemcachedConfig {
+        stripes: 1,
+        buckets: 256,
+        hold_rmws: 16,
+        ..Default::default()
+    }));
     cfg.queries = queries;
     cfg.jobs = jobs;
-    cfg.stripes = Some(1);
-    cfg.buckets = Some(256);
-    cfg.hold_rmws = Some(16);
     let mut params = MachineParams::new(cfg.threads);
     // Contended RMWs pay the cross-core bus-lock/serialization cost, not
     // the 10-cycle uncontended latency; the shape exists to measure that
@@ -104,10 +110,12 @@ pub fn lock_config(queries: u64, jobs: usize) -> WhatifConfig {
 /// The memory-bound shape: 64 stripes kill lock contention and the full
 /// bucket table misses to DRAM.
 pub fn memory_config(queries: u64, jobs: usize) -> WhatifConfig {
-    let mut cfg = WhatifConfig::new(Workload::Memcached);
+    let mut cfg = WhatifConfig::new(Workload::Memcached(MemcachedConfig {
+        stripes: 64,
+        ..Default::default()
+    }));
     cfg.queries = queries;
     cfg.jobs = jobs;
-    cfg.stripes = Some(64);
     cfg
 }
 

@@ -28,8 +28,8 @@ use limit::{LimitReader, LogMode, StreamConfig};
 use sim_cpu::EventKind;
 use sim_os::KernelConfig;
 use telemetry::{run_streaming, Collector, Snapshot};
-use whatif::{run_whatif, WhatifConfig, WhatifReport, Workload};
-use workloads::{logstore, mysqld};
+use whatif::{run_whatif, WhatifConfig, WhatifReport};
+use workloads::{logstore, mysqld, Workload};
 
 /// Counters the classification runs attach (mirrors `monitor`).
 const EVENTS: [EventKind; 3] = [
@@ -125,7 +125,7 @@ fn mysqld_findings(queries: u64) -> Result<Vec<Finding>, String> {
 pub fn run(commits: u64, jobs: usize) -> Result<E18Result, String> {
     // Causal path: perturb every knob, expect fsync-latency on top for
     // the commit region.
-    let mut wcfg = WhatifConfig::new(Workload::Logstore);
+    let mut wcfg = WhatifConfig::new(Workload::Logstore(logstore::LogstoreConfig::default()));
     wcfg.queries = commits;
     wcfg.jobs = jobs;
     let span = spans::start("e18/whatif");

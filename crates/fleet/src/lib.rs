@@ -37,6 +37,6 @@ pub mod queue;
 pub use arrival::{arrival_times, ArrivalConfig, ArrivalProcess};
 pub use driver::{
     draw_arrivals, instance_seed, run_fleet, FleetConfig, FleetReport, InstanceResult,
-    NodeAggregate, Workload, EVENTS, EVENT_NAMES,
+    NodeAggregate, EVENTS, EVENT_NAMES,
 };
 pub use queue::{simulate as simulate_queue, QueueOutcome};

@@ -21,8 +21,7 @@ pub mod engine;
 pub mod knob;
 
 pub use engine::{
-    run_whatif, ArmResult, RegionSensitivity, WhatifConfig, WhatifReport, Workload, EVENTS,
-    EVENT_NAMES,
+    run_whatif, ArmResult, RegionSensitivity, WhatifConfig, WhatifReport, EVENTS, EVENT_NAMES,
 };
 pub use knob::Knob;
 pub use limit::MachineParams;

@@ -11,7 +11,7 @@
 use crate::{locks, prng};
 use limit::harness::{Session, SessionBuilder};
 use limit::report::Regions;
-use limit::{CounterReader, Instrumenter};
+use limit::{CounterReader, Instrumenter, LogMode};
 use sim_core::{SimError, SimResult};
 use sim_cpu::{AluOp, Asm, Cond, EventKind, MemLayout, Reg};
 use sim_os::{KernelConfig, RunReport};
@@ -33,6 +33,9 @@ pub struct ApacheConfig {
     pub handler_instrs: u32,
     /// Base RNG seed.
     pub seed: u64,
+    /// Instrumentation logging mode (see [`LogMode`]); the default
+    /// per-event log is what the case-study experiments read.
+    pub mode: LogMode,
 }
 
 impl Default for ApacheConfig {
@@ -45,6 +48,7 @@ impl Default for ApacheConfig {
             parse_instrs: 300,
             handler_instrs: 800,
             seed: 0xA9AC,
+            mode: LogMode::Log,
         }
     }
 }
@@ -155,7 +159,7 @@ pub fn emit(
     asm.br(Cond::Ne, Reg::R12, Reg::R2, pt);
     asm.end_range("apache.parse");
     if instrumented {
-        ins.emit_exit(asm, r.parse);
+        ins.emit_exit_mode(asm, r.parse, cfg.mode);
     }
 
     // --- handler ---
@@ -176,7 +180,7 @@ pub fn emit(
     asm.br(Cond::Ne, Reg::R12, Reg::R2, ht);
     asm.end_range("apache.handler");
     if instrumented {
-        ins.emit_exit(asm, r.handler);
+        ins.emit_exit_mode(asm, r.handler, cfg.mode);
     }
 
     // --- log ---
@@ -198,7 +202,7 @@ pub fn emit(
     locks::emit_unlock(asm, Reg::R13);
     asm.end_range("apache.log");
     if instrumented {
-        ins.emit_exit(asm, r.log);
+        ins.emit_exit_mode(asm, r.log, cfg.mode);
     }
 
     asm.alui_sub(Reg::R9, 1);
@@ -225,9 +229,10 @@ pub struct ApacheRun {
     pub report: RunReport,
 }
 
-/// Builds the Apache workload — all workers spawned — without running
-/// it, so the caller can attach a flight recorder or drive the kernel
-/// itself (see [`crate::mysqld::build`]).
+/// Builds the Apache workload — session configured per `cfg.mode`, all
+/// workers spawned — without running it, so the caller can attach a
+/// flight recorder or drive the kernel itself (see
+/// [`crate::mysqld::build`]).
 pub fn build(
     cfg: &ApacheConfig,
     reader: &dyn CounterReader,
@@ -235,16 +240,23 @@ pub fn build(
     events: &[EventKind],
     kernel_cfg: KernelConfig,
 ) -> SimResult<(Session, ApacheImage)> {
-    let mut layout = MemLayout::default();
-    let mut regions = Regions::new();
-    let mut asm = Asm::new();
-    let image = emit(&mut asm, &mut layout, &mut regions, reader, cfg)?;
-    let mut session = SessionBuilder::new(cores)
-        .events(events)
-        .with_layout(layout)
-        .kernel_config(kernel_cfg)
-        .build(asm)?;
-    session.regions = regions;
+    let builder = SessionBuilder::new(cores).kernel_config(kernel_cfg);
+    build_on(cfg, reader, builder, events)
+}
+
+/// [`build`] on a caller-configured session builder (a full
+/// `MachineParams` machine, an explicit interpreter mode): the
+/// [`crate::Workload::build`] entry point.
+pub(crate) fn build_on(
+    cfg: &ApacheConfig,
+    reader: &dyn CounterReader,
+    builder: SessionBuilder,
+    events: &[EventKind],
+) -> SimResult<(Session, ApacheImage)> {
+    let (mut session, image) =
+        crate::assemble(builder, events, cfg.mode, |asm, layout, regions| {
+            emit(asm, layout, regions, reader, cfg)
+        })?;
     let mut seed = sim_core::DetRng::new(cfg.seed);
     for _ in 0..cfg.workers {
         let s = seed.next_u64();

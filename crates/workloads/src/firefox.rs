@@ -23,7 +23,7 @@
 use crate::prng;
 use limit::harness::{Session, SessionBuilder};
 use limit::report::Regions;
-use limit::{CounterReader, Instrumenter};
+use limit::{CounterReader, Instrumenter, LogMode};
 use sim_core::{SimError, SimResult};
 use sim_cpu::{AluOp, Asm, Cond, EventKind, MemLayout, Reg};
 use sim_os::{KernelConfig, RunReport};
@@ -50,6 +50,9 @@ pub struct FirefoxConfig {
     pub weights: [u64; 5],
     /// Base RNG seed.
     pub seed: u64,
+    /// Instrumentation logging mode (see [`LogMode`]); the default
+    /// per-event log is what the case-study experiments read.
+    pub mode: LogMode,
 }
 
 impl Default for FirefoxConfig {
@@ -64,6 +67,7 @@ impl Default for FirefoxConfig {
             // Mostly short tasks; GC is rare.
             weights: [440, 280, 160, 128, 16],
             seed: 0xF0F0,
+            mode: LogMode::Log,
         }
     }
 }
@@ -235,7 +239,7 @@ pub fn emit(
             _ => unreachable!(),
         }
         if instrumented {
-            ins.emit_exit(asm, task_ids[i]);
+            ins.emit_exit_mode(asm, task_ids[i], cfg.mode);
         }
         asm.end_range(&range);
         asm.jmp(dispatch_end);
@@ -291,9 +295,10 @@ pub struct FirefoxRun {
     pub report: RunReport,
 }
 
-/// Builds the Firefox workload — all threads spawned — without running
-/// it, so the caller can attach a flight recorder or drive the kernel
-/// itself (see [`crate::mysqld::build`]).
+/// Builds the Firefox workload — session configured per `cfg.mode`, all
+/// threads spawned — without running it, so the caller can attach a
+/// flight recorder or drive the kernel itself (see
+/// [`crate::mysqld::build`]).
 pub fn build(
     cfg: &FirefoxConfig,
     reader: &dyn CounterReader,
@@ -301,16 +306,23 @@ pub fn build(
     events: &[EventKind],
     kernel_cfg: KernelConfig,
 ) -> SimResult<(Session, FirefoxImage)> {
-    let mut layout = MemLayout::default();
-    let mut regions = Regions::new();
-    let mut asm = Asm::new();
-    let image = emit(&mut asm, &mut layout, &mut regions, reader, cfg)?;
-    let mut session = SessionBuilder::new(cores)
-        .events(events)
-        .with_layout(layout)
-        .kernel_config(kernel_cfg)
-        .build(asm)?;
-    session.regions = regions;
+    let builder = SessionBuilder::new(cores).kernel_config(kernel_cfg);
+    build_on(cfg, reader, builder, events)
+}
+
+/// [`build`] on a caller-configured session builder (a full
+/// `MachineParams` machine, an explicit interpreter mode): the
+/// [`crate::Workload::build`] entry point.
+pub(crate) fn build_on(
+    cfg: &FirefoxConfig,
+    reader: &dyn CounterReader,
+    builder: SessionBuilder,
+    events: &[EventKind],
+) -> SimResult<(Session, FirefoxImage)> {
+    let (mut session, image) =
+        crate::assemble(builder, events, cfg.mode, |asm, layout, regions| {
+            emit(asm, layout, regions, reader, cfg)
+        })?;
     session.spawn_instrumented(image.entry_main, &[cfg.seed])?;
     for h in 0..cfg.helpers {
         session.spawn_instrumented(image.entry_helper, &[h as u64])?;

@@ -208,53 +208,19 @@ pub fn build(
     build_on(cfg, reader, builder, events)
 }
 
-/// Like [`build`], on a machine described by a full runtime parameter set
-/// — the what-if engine's per-arm entry point.
-pub fn build_with_params(
-    cfg: &ProxyConfig,
-    reader: &dyn CounterReader,
-    params: &limit::MachineParams,
-    events: &[EventKind],
-) -> SimResult<(Session, ProxyImage)> {
-    build_on(cfg, reader, SessionBuilder::from_params(params)?, events)
-}
-
-/// Like [`build_with_params`], with an explicit interpreter mode — the
-/// entry point for differential tests that pin block-stepped and
-/// single-stepped execution to the same machine.
-pub fn build_with_params_exec(
-    cfg: &ProxyConfig,
-    reader: &dyn CounterReader,
-    params: &limit::MachineParams,
-    events: &[EventKind],
-    exec: sim_os::ExecMode,
-) -> SimResult<(Session, ProxyImage)> {
-    let builder = SessionBuilder::from_params(params)?;
-    let kcfg = KernelConfig {
-        exec,
-        ..params.kernel_config()
-    };
-    build_on(cfg, reader, builder.kernel_config(kcfg), events)
-}
-
-fn build_on(
+/// [`build`] on a caller-configured session builder (a full
+/// `MachineParams` machine, an explicit interpreter mode): the
+/// [`crate::Workload::build`] entry point.
+pub(crate) fn build_on(
     cfg: &ProxyConfig,
     reader: &dyn CounterReader,
     builder: SessionBuilder,
     events: &[EventKind],
 ) -> SimResult<(Session, ProxyImage)> {
-    let mut layout = MemLayout::default();
-    let mut regions = Regions::new();
-    let mut asm = Asm::new();
-    let image = emit(&mut asm, &mut layout, &mut regions, reader, cfg)?;
-    let mut builder = builder.events(events).with_layout(layout);
-    match cfg.mode {
-        LogMode::Log => {}
-        LogMode::Aggregate => builder = builder.aggregate_regions(regions.len()),
-        LogMode::Stream(stream_cfg) => builder = builder.stream(stream_cfg),
-    }
-    let mut session = builder.build(asm)?;
-    session.regions = regions;
+    let (mut session, image) =
+        crate::assemble(builder, events, cfg.mode, |asm, layout, regions| {
+            emit(asm, layout, regions, reader, cfg)
+        })?;
     let mut seed = sim_core::DetRng::new(cfg.seed);
     for _ in 0..cfg.threads {
         let worker_seed = seed.next_u64();

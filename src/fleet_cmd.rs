@@ -7,16 +7,15 @@
 //! population findings) and the NDJSON file are byte-identical across
 //! `--jobs` values; progress ticks go to stderr.
 //!
-//! NDJSON output (`<out-dir>/fleet-<workload>.json`, schema 2): one line
+//! NDJSON output (`<out-dir>/fleet-<workload>.json`, schema 5): one line
 //! per instance — its final snapshot, `instance` set to the numeric id —
 //! followed by one roll-up line with `"instance": "fleet"` whose counts
 //! equal the per-instance sums (`check-telemetry` verifies this).
 
 use crate::monitor::{findings_json, snapshot_json_with};
 use bench::json::Json;
-use fleet::{
-    run_fleet, ArrivalConfig, ArrivalProcess, FleetConfig, FleetReport, Workload, EVENT_NAMES,
-};
+use fleet::{run_fleet, ArrivalConfig, ArrivalProcess, FleetConfig, FleetReport, EVENT_NAMES};
+use workloads::Workload;
 
 /// Knobs of a fleet run (all have CLI flags).
 #[derive(Debug, Clone)]
@@ -74,7 +73,7 @@ fn to_config(workload: Workload, opts: &FleetOptions) -> FleetConfig {
         ArrivalProcess::Poisson
     };
     FleetConfig {
-        workload,
+        workload: workload.compact(),
         instances: opts.instances,
         threads: opts.threads,
         queries: opts.queries,
@@ -141,10 +140,9 @@ fn render_ndjson(workload: &str, report: &FleetReport) -> String {
 
 /// Runs the fleet and writes `<out-dir>/fleet-<workload>.json`.
 pub fn run(workload: &str, opts: &FleetOptions) -> Result<(), String> {
-    let wl: Workload = workload.parse()?;
-    let cfg = to_config(wl, opts);
+    let cfg = to_config(Workload::parse(workload)?, opts);
     eprintln!(
-        "fleet: {} x {wl} ({} threads x {} queries each), arrival {:.2}/Mcycle ({}), \
+        "fleet: {} x {workload} ({} threads x {} queries each), arrival {:.2}/Mcycle ({}), \
          {} slots, {} host jobs",
         cfg.instances,
         cfg.threads,

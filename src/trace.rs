@@ -7,11 +7,10 @@
 
 use bench::spans;
 use flight::{Categories, FlightConfig, HostSpan};
-use limit::harness::Session;
+use limit::harness::{Session, SessionBuilder};
 use limit::LimitReader;
 use sim_cpu::EventKind;
-use sim_os::KernelConfig;
-use workloads::{apache, firefox, logstore, memcached, mysqld, proxy};
+use workloads::Workload;
 
 /// Counters attached to every traced run (mirrors `monitor`).
 const EVENTS: [EventKind; 3] = [
@@ -43,63 +42,13 @@ impl Default for TraceOptions {
     }
 }
 
-fn build_session(workload: &str) -> Result<Session, String> {
-    let fail = |e: sim_core::SimError| e.to_string();
-    let reader = LimitReader::with_events(EVENTS.to_vec());
-    let kcfg = KernelConfig::default();
-    match workload {
-        "mysqld" => {
-            let (s, _) = mysqld::build(&mysqld::MysqlConfig::default(), &reader, 8, &EVENTS, kcfg)
-                .map_err(fail)?;
-            Ok(s)
-        }
-        "firefox" => {
-            let (s, _) = firefox::build(
-                &firefox::FirefoxConfig::default(),
-                &reader,
-                4,
-                &EVENTS,
-                kcfg,
-            )
-            .map_err(fail)?;
-            Ok(s)
-        }
-        "apache" => {
-            let (s, _) = apache::build(&apache::ApacheConfig::default(), &reader, 8, &EVENTS, kcfg)
-                .map_err(fail)?;
-            Ok(s)
-        }
-        "memcached" => {
-            let (s, _) = memcached::build(
-                &memcached::MemcachedConfig::default(),
-                &reader,
-                8,
-                &EVENTS,
-                kcfg,
-            )
-            .map_err(fail)?;
-            Ok(s)
-        }
-        "logstore" => {
-            let (s, _) = logstore::build(
-                &logstore::LogstoreConfig::default(),
-                &reader,
-                8,
-                &EVENTS,
-                kcfg,
-            )
-            .map_err(fail)?;
-            Ok(s)
-        }
-        "proxy" => {
-            let (s, _) = proxy::build(&proxy::ProxyConfig::default(), &reader, 8, &EVENTS, kcfg)
-                .map_err(fail)?;
-            Ok(s)
-        }
-        other => Err(format!(
-            "unknown workload {other:?} (mysqld|firefox|apache|memcached|logstore|proxy)"
-        )),
-    }
+/// Builds `workload` in its stock configuration on its stock core count
+/// (shared with `stat`).
+pub fn stock_session(workload: &str, events: &[EventKind]) -> Result<Session, String> {
+    let w = Workload::parse(workload)?;
+    let reader = LimitReader::with_events(events.to_vec());
+    w.build(&reader, SessionBuilder::new(w.stock_cores()), events)
+        .map_err(|e| e.to_string())
 }
 
 /// Converts drained bench spans into Chrome host-track spans.
@@ -171,7 +120,7 @@ pub fn run(workload: &str, opts: &TraceOptions) -> Result<(), String> {
         ));
     }
     let build_span = spans::start(format!("trace/build-{workload}"));
-    let mut session = build_session(workload)?;
+    let mut session = stock_session(workload, &EVENTS)?;
     build_span.finish();
 
     session.enable_flight(FlightConfig {

@@ -4,11 +4,10 @@
 //! makes fleet results comparable across machines and CI runners — any
 //! dependence on host scheduling is a bug, caught here.
 
-use fleet::{run_fleet, FleetConfig, Workload, EVENT_NAMES};
+use fleet::{run_fleet, FleetConfig, EVENT_NAMES};
 
 fn cfg(jobs: usize) -> FleetConfig {
     FleetConfig {
-        workload: Workload::Mysqld,
         instances: 12,
         threads: 2,
         queries: 10,

@@ -14,17 +14,30 @@
 //! cycles, submit counts, and the per-region telemetry records the rings
 //! carry.
 
+use limit::harness::{Session, SessionBuilder};
 use limit::{LimitReader, MachineParams};
 use sim_cpu::EventKind;
-use sim_os::{ExecMode, RunReport};
-use whatif::{run_whatif, WhatifConfig, Workload};
-use workloads::{logstore, proxy};
+use sim_os::{ExecMode, KernelConfig, RunReport};
+use whatif::{run_whatif, WhatifConfig};
+use workloads::{logstore, proxy, Workload};
 
 const EVENTS: [EventKind; 3] = [
     EventKind::Cycles,
     EventKind::Instructions,
     EventKind::LlcMisses,
 ];
+
+/// `workload` on `params` with the interpreter forced to `exec`.
+fn build_exec(workload: Workload, params: &MachineParams, exec: ExecMode) -> Session {
+    let reader = LimitReader::with_events(EVENTS.to_vec());
+    let builder = SessionBuilder::from_params(params)
+        .unwrap()
+        .kernel_config(KernelConfig {
+            exec,
+            ..params.kernel_config()
+        });
+    workload.build(&reader, builder, &EVENTS).unwrap()
+}
 
 /// Everything observable from one I/O-heavy run.
 #[derive(Debug, PartialEq)]
@@ -35,7 +48,7 @@ struct Observed {
     records: Vec<(sim_core::ThreadId, limit::report::RegionRecord)>,
 }
 
-fn observe(session: &limit::harness::Session, report: RunReport) -> Observed {
+fn observe(session: &Session, report: RunReport) -> Observed {
     Observed {
         total_retired: session.kernel.machine.total_retired(),
         records: session.all_records().unwrap(),
@@ -51,9 +64,7 @@ fn logstore_is_identical_across_exec_modes() {
     };
     let params = MachineParams::new(4);
     let run = |exec| {
-        let reader = LimitReader::with_events(EVENTS.to_vec());
-        let (mut session, _) =
-            logstore::build_with_params_exec(&cfg, &reader, &params, &EVENTS, exec).unwrap();
+        let mut session = build_exec(Workload::Logstore(cfg.clone()), &params, exec);
         let report = session.run().unwrap();
         observe(&session, report)
     };
@@ -75,9 +86,7 @@ fn proxy_is_identical_across_exec_modes() {
     };
     let params = MachineParams::new(4);
     let run = |exec| {
-        let reader = LimitReader::with_events(EVENTS.to_vec());
-        let (mut session, _) =
-            proxy::build_with_params_exec(&cfg, &reader, &params, &EVENTS, exec).unwrap();
+        let mut session = build_exec(Workload::Proxy(cfg.clone()), &params, exec);
         let report = session.run().unwrap();
         observe(&session, report)
     };
@@ -96,7 +105,7 @@ fn proxy_is_identical_across_exec_modes() {
 #[test]
 fn logstore_whatif_is_identical_across_jobs() {
     let run = |jobs| {
-        let mut cfg = WhatifConfig::new(Workload::Logstore);
+        let mut cfg = WhatifConfig::new(Workload::Logstore(Default::default()));
         cfg.queries = 6;
         cfg.jobs = jobs;
         run_whatif(&cfg, |_, _| {}).unwrap()
@@ -113,7 +122,7 @@ fn logstore_whatif_is_identical_across_jobs() {
 #[test]
 fn proxy_whatif_is_identical_across_jobs() {
     let run = |jobs| {
-        let mut cfg = WhatifConfig::new(Workload::Proxy);
+        let mut cfg = WhatifConfig::new(Workload::Proxy(Default::default()));
         cfg.queries = 6;
         cfg.jobs = jobs;
         run_whatif(&cfg, |_, _| {}).unwrap()

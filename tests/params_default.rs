@@ -11,11 +11,11 @@
 //! perturbed arm through the fast path, so the differential contract has
 //! to hold away from the defaults too).
 
-use limit::harness::Session;
+use limit::harness::{Session, SessionBuilder};
 use limit::{LimitReader, MachineParams};
 use sim_cpu::{EventKind, MachineConfig};
 use sim_os::{ExecMode, KernelConfig, RunReport};
-use workloads::{memcached, mysqld};
+use workloads::{memcached, mysqld, Workload};
 
 const EVENTS: [EventKind; 3] = [
     EventKind::Cycles,
@@ -87,8 +87,10 @@ fn default_params_run_is_bit_identical_to_legacy_path() {
         observe(&r.session, r.report)
     };
     let via_params = {
-        let (mut session, _image) =
-            mysqld::build_with_params(&cfg, &reader, &MachineParams::new(4), &EVENTS).unwrap();
+        let builder = SessionBuilder::from_params(&MachineParams::new(4)).unwrap();
+        let mut session = Workload::Mysqld(cfg.clone())
+            .build(&reader, builder, &EVENTS)
+            .unwrap();
         let report = session.run().unwrap();
         observe(&session, report)
     };
@@ -116,8 +118,15 @@ fn exec_modes_agree_under_non_default_params() {
     };
     let reader = LimitReader::with_events(EVENTS.to_vec());
     let run = |exec| {
-        let (mut session, _image) =
-            memcached::build_with_params_exec(&cfg, &reader, &params, &EVENTS, exec).unwrap();
+        let builder = SessionBuilder::from_params(&params)
+            .unwrap()
+            .kernel_config(KernelConfig {
+                exec,
+                ..params.kernel_config()
+            });
+        let mut session = Workload::Memcached(cfg.clone())
+            .build(&reader, builder, &EVENTS)
+            .unwrap();
         let report = session.run().unwrap();
         observe(&session, report)
     };

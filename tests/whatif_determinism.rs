@@ -8,7 +8,8 @@
 //! both workloads at small configurations so it rides along with
 //! `cargo test`.
 
-use whatif::{run_whatif, WhatifConfig, WhatifReport, Workload};
+use whatif::{run_whatif, WhatifConfig, WhatifReport};
+use workloads::Workload;
 
 fn cfg(workload: Workload, jobs: usize) -> WhatifConfig {
     let mut c = WhatifConfig::new(workload);
@@ -64,14 +65,14 @@ fn fingerprint(report: &WhatifReport) -> String {
 
 #[test]
 fn whatif_reports_are_byte_identical_across_jobs_1_4() {
-    for workload in [Workload::Mysqld, Workload::Memcached] {
-        let base = fingerprint(&run_whatif(&cfg(workload, 1), |_, _| {}).expect("jobs=1 runs"));
-        let other = fingerprint(&run_whatif(&cfg(workload, 4), |_, _| {}).expect("jobs=4 runs"));
+    for name in ["mysqld", "memcached"] {
+        let workload = Workload::parse(name).unwrap();
+        let run = |jobs| run_whatif(&cfg(workload.clone(), jobs), |_, _| {});
+        let base = fingerprint(&run(1).expect("jobs=1 runs"));
+        let other = fingerprint(&run(4).expect("jobs=4 runs"));
         assert_eq!(
-            base,
-            other,
-            "{} whatif fingerprint diverged between --jobs 1 and --jobs 4",
-            workload.name()
+            base, other,
+            "{name} whatif fingerprint diverged between --jobs 1 and --jobs 4"
         );
     }
 }
