@@ -7,9 +7,9 @@
 //! counter values, logged or streamed records) is a bug in the fast path,
 //! not a tolerance to widen.
 //!
-//! The `bench` command enforces the same gate at full mysqld scale on
-//! every benchmark run; these tests cover the other workloads at small
-//! configurations so the gate rides along with `cargo test`.
+//! mysqld runs at two sizes: a small 4-core one and the full 8 threads x
+//! 2000 queries on 8 cores with `stat`'s four events. The other workloads
+//! run at small configurations.
 
 use limit::harness::SessionBuilder;
 use limit::{CounterReader, Instrumenter, LimitReader, LogMode, RegionRecord, StreamConfig};
@@ -23,6 +23,14 @@ const EVENTS: [EventKind; 3] = [
     EventKind::Cycles,
     EventKind::Instructions,
     EventKind::LlcMisses,
+];
+
+/// The counter set `stat` reads.
+const STAT_EVENTS: [EventKind; 4] = [
+    EventKind::Cycles,
+    EventKind::Instructions,
+    EventKind::LlcMisses,
+    EventKind::BranchMisses,
 ];
 
 fn kcfg(exec: ExecMode) -> KernelConfig {
@@ -46,7 +54,7 @@ fn observe(session: &limit::harness::Session, report: RunReport) -> Observed {
         .spawned_tids()
         .into_iter()
         .map(|tid| {
-            (0..EVENTS.len())
+            (0..session.events().len())
                 .map(|i| session.counter_total(tid, i).unwrap_or(u64::MAX))
                 .collect()
         })
@@ -67,16 +75,22 @@ fn assert_identical(name: &str, single: &Observed, block: &Observed) {
 
 #[test]
 fn mysqld_is_identical_across_exec_modes() {
-    let cfg = mysqld::MysqlConfig {
-        queries_per_thread: 40,
-        ..Default::default()
-    };
-    let reader = LimitReader::with_events(EVENTS.to_vec());
-    let run = |exec| {
-        let r = mysqld::run(&cfg, &reader, 4, &EVENTS, kcfg(exec)).unwrap();
-        observe(&r.session, r.report)
-    };
-    assert_identical("mysqld", &run(ExecMode::SingleStep), &run(ExecMode::Block));
+    for (queries, cores, events) in [(40, 4, &EVENTS[..]), (2000, 8, &STAT_EVENTS[..])] {
+        let cfg = mysqld::MysqlConfig {
+            queries_per_thread: queries,
+            ..Default::default()
+        };
+        let reader = LimitReader::with_events(events.to_vec());
+        let run = |exec| {
+            let r = mysqld::run(&cfg, &reader, cores, events, kcfg(exec)).unwrap();
+            observe(&r.session, r.report)
+        };
+        assert_identical(
+            &format!("mysqld {}x{queries} on {cores} cores", cfg.threads),
+            &run(ExecMode::SingleStep),
+            &run(ExecMode::Block),
+        );
+    }
 }
 
 #[test]

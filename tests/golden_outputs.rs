@@ -7,7 +7,9 @@
 //! refactor that keeps behaviour keeps every digest; a deliberate
 //! behaviour change re-records them (the failure message prints the new
 //! values). Host-timed outputs are left out: the Chrome `trace-*.json`
-//! export carries host spans, so only the `.ndjson` timeline is pinned.
+//! export carries host spans, so only the `.ndjson` timeline is pinned;
+//! `trust-summary.json` carries wall times, so only the matrix is; and
+//! `torture` reports its rates on stderr, so only its stdout is.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -193,5 +195,36 @@ fn stat_memcached() {
         &["stat", "memcached"],
         false,
         &[("stdout", 0x4b86_2f11_ef91_950b)],
+    );
+}
+
+#[test]
+fn trust_slice() {
+    check(
+        "trust-slice",
+        &[
+            "trust",
+            "--schedules",
+            "4",
+            "--events",
+            "instructions,llc-misses",
+            "--jobs",
+            "2",
+        ],
+        true,
+        &[
+            ("stdout", 0x61de_d1c4_7b27_7ddb),
+            ("out/trust-matrix.json", 0x97d3_9f88_2f97_2e68),
+        ],
+    );
+}
+
+#[test]
+fn torture_seed1() {
+    check(
+        "torture-seed1",
+        &["torture", "--schedules", "40", "--seed", "1"],
+        false,
+        &[("stdout", 0x738b_c754_c46c_707b)],
     );
 }

@@ -27,16 +27,30 @@ const EVENTS: [EventKind; 3] = [
     EventKind::LlcMisses,
 ];
 
-/// `workload` on `params` with the interpreter forced to `exec`.
-fn build_exec(workload: Workload, params: &MachineParams, exec: ExecMode) -> Session {
-    let reader = LimitReader::with_events(EVENTS.to_vec());
+/// The counter set `stat` reads.
+const STAT_EVENTS: [EventKind; 4] = [
+    EventKind::Cycles,
+    EventKind::Instructions,
+    EventKind::LlcMisses,
+    EventKind::BranchMisses,
+];
+
+/// `workload` on `params`, counting `events`, with the interpreter forced
+/// to `exec`.
+fn build_exec(
+    workload: Workload,
+    params: &MachineParams,
+    events: &[EventKind],
+    exec: ExecMode,
+) -> Session {
+    let reader = LimitReader::with_events(events.to_vec());
     let builder = SessionBuilder::from_params(params)
         .unwrap()
         .kernel_config(KernelConfig {
             exec,
             ..params.kernel_config()
         });
-    workload.build(&reader, builder, &EVENTS).unwrap()
+    workload.build(&reader, builder, events).unwrap()
 }
 
 /// Everything observable from one I/O-heavy run.
@@ -58,24 +72,29 @@ fn observe(session: &Session, report: RunReport) -> Observed {
 
 #[test]
 fn logstore_is_identical_across_exec_modes() {
-    let cfg = logstore::LogstoreConfig {
-        commits_per_thread: 8,
-        ..Default::default()
-    };
-    let params = MachineParams::new(4);
-    let run = |exec| {
-        let mut session = build_exec(Workload::Logstore(cfg.clone()), &params, exec);
-        let report = session.run().unwrap();
-        observe(&session, report)
-    };
-    let single = run(ExecMode::SingleStep);
-    let block = run(ExecMode::Block);
-    assert!(single.report.io_submits > 0, "workload performed no I/O");
-    assert!(single.report.io_wait_cycles > 0);
-    assert_eq!(
-        single, block,
-        "logstore: block-stepped run diverged from single-step"
-    );
+    // A small 4-core run, and the full 4 threads x 1000 commits on 8 cores
+    // with `stat`'s four events.
+    for (commits, cores, events) in [(8, 4, &EVENTS[..]), (1000, 8, &STAT_EVENTS[..])] {
+        let cfg = logstore::LogstoreConfig {
+            commits_per_thread: commits,
+            ..Default::default()
+        };
+        let params = MachineParams::new(cores);
+        let run = |exec| {
+            let mut session = build_exec(Workload::Logstore(cfg.clone()), &params, events, exec);
+            let report = session.run().unwrap();
+            observe(&session, report)
+        };
+        let single = run(ExecMode::SingleStep);
+        let block = run(ExecMode::Block);
+        assert!(single.report.io_submits > 0, "workload performed no I/O");
+        assert!(single.report.io_wait_cycles > 0);
+        assert_eq!(
+            single, block,
+            "logstore {}x{commits} on {cores} cores: block-stepped run diverged from single-step",
+            cfg.threads
+        );
+    }
 }
 
 #[test]
@@ -86,7 +105,7 @@ fn proxy_is_identical_across_exec_modes() {
     };
     let params = MachineParams::new(4);
     let run = |exec| {
-        let mut session = build_exec(Workload::Proxy(cfg.clone()), &params, exec);
+        let mut session = build_exec(Workload::Proxy(cfg.clone()), &params, &EVENTS, exec);
         let report = session.run().unwrap();
         observe(&session, report)
     };

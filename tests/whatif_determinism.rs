@@ -3,10 +3,9 @@
 //! workers execute the arm fan-out. The whole point of differential
 //! re-simulation is that arm-vs-baseline deltas are attributable to the
 //! perturbed knob alone — any dependence on host scheduling would leak
-//! into the deltas and poison every sensitivity. The `bench --mode
-//! whatif` command enforces the same gate at full E16 scale; this covers
-//! both workloads at small configurations so it rides along with
-//! `cargo test`.
+//! into the deltas and poison every sensitivity. This covers mysqld and
+//! memcached at small configurations and E16's lock shape at full scale
+//! (480 queries per worker).
 
 use whatif::{run_whatif, WhatifConfig, WhatifReport};
 use workloads::Workload;
@@ -65,9 +64,14 @@ fn fingerprint(report: &WhatifReport) -> String {
 
 #[test]
 fn whatif_reports_are_byte_identical_across_jobs_1_4() {
-    for name in ["mysqld", "memcached"] {
-        let workload = Workload::parse(name).unwrap();
-        let run = |jobs| run_whatif(&cfg(workload.clone(), jobs), |_, _| {});
+    for name in ["mysqld", "memcached", "e16-lock"] {
+        let run = |jobs| {
+            let c = match name {
+                "e16-lock" => bench::e16::lock_config(480, jobs),
+                w => cfg(Workload::parse(w).unwrap(), jobs),
+            };
+            run_whatif(&c, |_, _| {})
+        };
         let base = fingerprint(&run(1).expect("jobs=1 runs"));
         let other = fingerprint(&run(4).expect("jobs=4 runs"));
         assert_eq!(
