@@ -1,7 +1,6 @@
-//! Shared experiment drivers for the `exp_*` binaries and criterion
-//! benches. Each experiment in DESIGN.md §4 has a function here that
-//! produces its table(s); the binaries print them, the benches time the
-//! underlying simulator.
+//! Shared experiment drivers for the `exp_*` binaries and `limit-repro
+//! run`. Each experiment in DESIGN.md §4 has a function here that
+//! produces its table(s); the binaries and the CLI print them.
 
 pub mod experiments;
 pub mod json;

@@ -19,8 +19,8 @@
 //!    ([`crate::queue`]); the population classifier names fleet-wide
 //!    bottlenecks (`analysis::classify_fleet`).
 //!
-//! Teardown warnings from concurrent instances are serialized through a
-//! per-instance host-side [`WarnSink`] instead of interleaving on stderr;
+//! Teardown warnings from concurrent instances are captured per instance
+//! ([`telemetry::run_collected`]) instead of interleaving on stderr;
 //! the report keeps them per instance and [`FleetReport::worst_offender`]
 //! names the noisiest one.
 
@@ -29,13 +29,12 @@ use crate::queue::{simulate, QueueOutcome};
 use analysis::online::{classify, DetectorConfig, Finding};
 use analysis::{classify_fleet, FleetFinding};
 use limit::harness::SessionBuilder;
-use limit::{LimitReader, LogMode, StreamConfig, WarnSink};
+use limit::{LimitReader, LogMode, StreamConfig};
 use sim_core::parallel::parmap_with;
 use sim_core::DetRng;
 use sim_cpu::EventKind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
-use telemetry::{run_streaming, Collector, Snapshot};
+use telemetry::{run_collected, Snapshot};
 use workloads::mysqld::MysqlConfig;
 use workloads::Workload;
 
@@ -171,7 +170,7 @@ pub struct InstanceResult {
     pub service_cycles: u64,
     /// Guest instructions retired (for aggregate throughput).
     pub instructions: u64,
-    /// Teardown warnings captured by the instance's [`WarnSink`].
+    /// Teardown warnings the instance raised.
     pub warnings: Vec<String>,
 }
 
@@ -248,38 +247,18 @@ fn run_instance(cfg: &FleetConfig, index: usize) -> Result<InstanceResult, Strin
     let (workload, threads) = cfg.instance_workload(seed);
     let reader = LimitReader::with_events(EVENTS.to_vec());
     let builder = SessionBuilder::new(cfg.threads.clamp(1, 8));
-    let mut session = workload
-        .build(&reader, builder, &EVENTS)
-        .map_err(|e| format!("instance {index}: {e}"))?;
-
-    // Serialize teardown warnings: N instances sharing stderr would
-    // interleave lines; the sink keeps them per instance instead.
-    let warnings = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&warnings);
-    session.set_warn_sink(WarnSink::new(move |line: &str| {
-        sink.lock().unwrap().push(line.to_string());
-    }));
-
-    let mut collector = Collector::new(threads.max(1), EVENTS.len());
-    collector.attach(&session);
-    let mut last: Option<Snapshot> = None;
-    let report = run_streaming(&mut session, &mut collector, cfg.interval, |snap| {
-        last = Some(snap.clone());
-    })
-    .map_err(|e| format!("instance {index}: {e}"))?;
-
-    let snapshot = last.expect("run_streaming always publishes a final snapshot");
-    let findings = classify(&snapshot, &EVENTS, &DetectorConfig::default());
-    let instructions = session.kernel.machine.total_retired();
-    let warnings = std::mem::take(&mut *warnings.lock().unwrap());
+    let fail = |e: sim_core::SimError| format!("instance {index}: {e}");
+    let mut session = workload.build(&reader, builder, &EVENTS).map_err(fail)?;
+    let run = run_collected(&mut session, threads, cfg.interval).map_err(fail)?;
+    let findings = classify(&run.snapshot, &EVENTS, &DetectorConfig::default());
     Ok(InstanceResult {
         index,
         seed,
-        snapshot,
+        snapshot: run.snapshot,
         findings,
-        service_cycles: report.total_cycles,
-        instructions,
-        warnings,
+        service_cycles: run.report.total_cycles,
+        instructions: session.kernel.machine.total_retired(),
+        warnings: run.warnings,
     })
 }
 

@@ -1083,89 +1083,6 @@ mod tests {
         a.assemble().unwrap()
     }
 
-    /// Interpreter-floor microbenchmarks (`--ignored`): lower bounds on
-    /// per-step cost with no kernel, trivial state, and (for the mem
-    /// variant) pure L1 hits. `docs/BENCH.md` records how to run them and
-    /// how the floor bounds the achievable block-stepped speedup.
-    #[test]
-    #[ignore = "host-timing microbenchmark; run with --ignored --nocapture"]
-    fn bench_floor() {
-        use std::time::Instant;
-        let mut m = machine_with(floor_prog());
-        install(&mut m, 0);
-        let n = 20_000_000u64;
-        let t = Instant::now();
-        let mut i = 0u64;
-        while i < n {
-            let s = m.step(CoreId::new(0)).unwrap();
-            i += s.instrs;
-        }
-        let el = t.elapsed().as_secs_f64();
-        eprintln!("floor: {:.1} ns/step", el / n as f64 * 1e9);
-    }
-
-    #[test]
-    #[ignore = "host-timing microbenchmark; run with --ignored --nocapture"]
-    fn bench_floor_mem() {
-        use std::time::Instant;
-        let mut a = Asm::new();
-        let top = a.new_label();
-        a.bind(top);
-        a.imm(Reg::R3, 4096);
-        a.load(Reg::R1, Reg::R3, 0);
-        a.load(Reg::R1, Reg::R3, 64);
-        a.load(Reg::R1, Reg::R3, 128);
-        a.store(Reg::R1, Reg::R3, 192);
-        a.alui_add(Reg::R2, 1);
-        a.br(Cond::Ne, Reg::R2, Reg::R0, top);
-        let prog = a.assemble().unwrap();
-        let mut m = machine_with(prog);
-        install(&mut m, 0);
-        let in_limit = vec![false; 16];
-        let stop2 = [40_000_000u64, u64::MAX];
-        let limits2 = RunLimits {
-            stop_at: &stop2,
-            wake_at: u64::MAX,
-            armed_pcs: None,
-            in_limit: &in_limit,
-        };
-        let t = Instant::now();
-        let _ = m.run_until(&limits2).unwrap();
-        let el = t.elapsed().as_secs_f64();
-        let steps = m.cores[0].retired;
-        eprintln!(
-            "run_until mem floor: {:.1} ns/step ({} steps, {} mem accesses)",
-            el / steps as f64 * 1e9,
-            steps,
-            m.memsys.accesses()
-        );
-    }
-
-    #[test]
-    #[ignore = "host-timing microbenchmark; run with --ignored --nocapture"]
-    fn bench_floor_rununtil() {
-        use std::time::Instant;
-        let mut m = machine_with(floor_prog());
-        install(&mut m, 0);
-        let in_limit = vec![false; 16];
-        let stop2 = [40_000_000u64, u64::MAX];
-        let limits2 = RunLimits {
-            stop_at: &stop2,
-            wake_at: u64::MAX,
-            armed_pcs: None,
-            in_limit: &in_limit,
-        };
-        let t = Instant::now();
-        let _ = m.run_until(&limits2).unwrap();
-        let el = t.elapsed().as_secs_f64();
-        let steps = m.cores[0].retired;
-        eprintln!(
-            "run_until floor: {:.1} ns/step ({} steps)",
-            el / steps as f64 * 1e9,
-            steps
-        );
-    }
-
     fn machine_with(prog: Program) -> Machine {
         let cfg = MachineConfig::new(2).with_hierarchy(HierarchyConfig::tiny());
         Machine::new(cfg, prog).unwrap()

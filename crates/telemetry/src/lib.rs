@@ -32,5 +32,5 @@ pub mod snapshot;
 
 pub use aggregate::{AggShard, IoStat, RegionStats};
 pub use collector::Collector;
-pub use runner::{run_streaming, run_streaming_until};
+pub use runner::{run_collected, run_streaming, run_streaming_until, CollectedRun};
 pub use snapshot::{RegionSnapshot, Snapshot};

@@ -5,12 +5,58 @@
 //! caller's callback receives a fresh [`Snapshot`]. After the run a final
 //! drain sweeps records still in flight and emits one last snapshot, so
 //! `appended == drained + dropped + overwritten` at the end.
+//! [`run_collected`] wraps it for callers that only want the final
+//! snapshot, such as fleet instances and what-if arms.
 
 use crate::collector::Collector;
 use crate::snapshot::Snapshot;
-use limit::Session;
+use limit::{Session, WarnSink};
 use sim_core::{SimResult, ThreadId};
 use sim_os::RunReport;
+use std::sync::{Arc, Mutex};
+
+/// The outcome of [`run_collected`].
+pub struct CollectedRun {
+    /// The kernel's run report, warnings filled in.
+    pub report: RunReport,
+    /// The final post-run snapshot.
+    pub snapshot: Snapshot,
+    /// Teardown warnings the session raised, in order.
+    pub warnings: Vec<String>,
+}
+
+/// Runs the session to completion under [`run_streaming`] with a fresh
+/// collector sized for `threads` guest threads, keeping only the final
+/// snapshot. Teardown warnings are captured rather than printed, so
+/// sessions running side by side never interleave them on stderr.
+pub fn run_collected(session: &mut Session, threads: usize, every: u64) -> SimResult<CollectedRun> {
+    let warnings = Arc::new(Mutex::new(Vec::new()));
+    let sink = Arc::clone(&warnings);
+    session.set_warn_sink(WarnSink::new(move |line: &str| {
+        sink.lock()
+            .expect("no thread panics while holding the warning list")
+            .push(line.to_string());
+    }));
+
+    let mut collector = Collector::new(threads.max(1), session.events().len());
+    collector.attach(session);
+    let mut last: Option<Snapshot> = None;
+    let report = run_streaming(session, &mut collector, every, |snap| {
+        last = Some(snap.clone());
+    })?;
+
+    let snapshot = last.expect("run_streaming always publishes a final snapshot");
+    let warnings = std::mem::take(
+        &mut *warnings
+            .lock()
+            .expect("no thread panics while holding the warning list"),
+    );
+    Ok(CollectedRun {
+        report,
+        snapshot,
+        warnings,
+    })
+}
 
 /// Runs the session to completion, draining every `every` cycles and
 /// passing each snapshot (including one final post-run snapshot) to

@@ -13,12 +13,11 @@ use crate::knob::Knob;
 use analysis::causal::{attribute, KnobSensitivity};
 use analysis::online::Finding;
 use analysis::table::{fmt_count, Table};
-use limit::harness::{SessionBuilder, WarnSink};
+use limit::harness::SessionBuilder;
 use limit::{LimitReader, LogMode, MachineParams, StreamConfig};
 use sim_core::parallel::parmap_with;
 use sim_cpu::EventKind;
-use std::sync::{Arc, Mutex};
-use telemetry::{run_streaming, Collector, Snapshot};
+use telemetry::{run_collected, Snapshot};
 use workloads::Workload;
 
 /// Counters every arm attaches: cycles feed the sensitivity math,
@@ -262,33 +261,15 @@ fn run_arm(cfg: &WhatifConfig, params: &MachineParams, label: &str) -> Result<Ar
     let t0 = std::time::Instant::now();
     let (workload, threads) = cfg.arm_workload();
     let reader = LimitReader::with_events(EVENTS.to_vec());
-    let builder = SessionBuilder::from_params(params).map_err(|e| format!("{label}: {e}"))?;
-    let mut session = workload
-        .build(&reader, builder, &EVENTS)
-        .map_err(|e| format!("{label}: {e}"))?;
-
-    // Serialize teardown warnings per arm (N arms sharing stderr would
-    // interleave; the CLI prints these in arm order afterwards).
-    let warnings = Arc::new(Mutex::new(Vec::new()));
-    let sink = Arc::clone(&warnings);
-    session.set_warn_sink(WarnSink::new(move |line: &str| {
-        sink.lock().unwrap().push(line.to_string());
-    }));
-
-    let mut collector = Collector::new(threads.max(1), EVENTS.len());
-    collector.attach(&session);
-    let mut last: Option<Snapshot> = None;
-    let report = run_streaming(&mut session, &mut collector, cfg.interval, |snap| {
-        last = Some(snap.clone());
-    })
-    .map_err(|e| format!("{label}: {e}"))?;
-
-    let snapshot = last.expect("run_streaming always publishes a final snapshot");
-    let warnings = std::mem::take(&mut *warnings.lock().unwrap());
+    let fail = |e: sim_core::SimError| format!("{label}: {e}");
+    let builder = SessionBuilder::from_params(params).map_err(fail)?;
+    let mut session = workload.build(&reader, builder, &EVENTS).map_err(fail)?;
+    // The CLI prints each arm's teardown warnings in arm order afterwards.
+    let run = run_collected(&mut session, threads, cfg.interval).map_err(fail)?;
     Ok(ArmRun {
-        snapshot,
-        total_cycles: report.total_cycles,
-        warnings,
+        snapshot: run.snapshot,
+        total_cycles: run.report.total_cycles,
+        warnings: run.warnings,
         wall_ms: t0.elapsed().as_secs_f64() * 1e3,
     })
 }

@@ -143,9 +143,8 @@ fn region_line(
 }
 
 /// The NDJSON body: baseline region lines (snapshot order), then each
-/// arm's region lines in configured knob order. Also exercised by
-/// `bench --mode whatif`'s cross-jobs byte-equality gate.
-pub fn render_ndjson(report: &WhatifReport) -> String {
+/// arm's region lines in configured knob order.
+fn render_ndjson(report: &WhatifReport) -> String {
     let cyc = 0; // EVENTS[0] is Cycles
     let mut out = String::new();
     for r in &report.baseline.regions {
