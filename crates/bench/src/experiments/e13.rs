@@ -79,7 +79,7 @@ pub fn run(thread_counts: &[usize], queries: u64, cores: usize) -> SimResult<Vec
         .iter()
         .flat_map(|&t| METHODS.iter().map(move |&m| (t, m)))
         .collect();
-    let measured: Vec<SimResult<Cell>> = crate::parallel::parmap(cells, |(threads, method)| {
+    let measured: Vec<SimResult<Cell>> = sim_core::parallel::parmap(cells, |(threads, method)| {
         let cfg = mysql_cfg(threads, queries, mode_for(method));
         let reader: Box<dyn CounterReader> = if method == "none" {
             Box::new(NullReader::new())

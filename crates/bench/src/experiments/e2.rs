@@ -54,7 +54,7 @@ pub fn run(thread_counts: &[usize], queries: u64, cores: usize) -> SimResult<Vec
         .flat_map(|&t| METHODS.iter().map(move |&m| (t, m)))
         .collect();
     let measured: Vec<SimResult<(usize, &str, u64, u64)>> =
-        crate::parallel::parmap(cells, |(threads, method)| {
+        sim_core::parallel::parmap(cells, |(threads, method)| {
             let mut cfg = mysql_cfg(threads, queries);
             if method == "limit-agg" {
                 cfg.mode = limit::LogMode::Aggregate;

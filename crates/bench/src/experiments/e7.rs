@@ -39,7 +39,7 @@ pub struct E7Row {
 /// Runs the thread sweep (arms in parallel on the host).
 pub fn run(thread_counts: &[usize], queries: u64, cores: usize) -> SimResult<Vec<E7Row>> {
     let events = [EventKind::Cycles];
-    crate::parallel::parmap(thread_counts.to_vec(), |threads| {
+    sim_core::parallel::parmap(thread_counts.to_vec(), |threads| {
         let cfg = MysqlConfig {
             threads,
             queries_per_thread: queries,

@@ -3,11 +3,10 @@
 //! Every layer of the stack — the CPU model, the kernel, the LiMiT harness,
 //! the telemetry pipeline — emits typed events ([`EventData`]) into per-core
 //! bounded rings ([`Ring`]) owned by one [`FlightRecorder`]. The recorder
-//! follows the same zero-cost-when-off discipline as the instruction trace
-//! it generalizes (`sim-cpu`'s `Trace`, now itself built on [`Ring`]): the
-//! owning `Machine` holds an `Option<Box<FlightRecorder>>` that is `None` by
-//! default, and every emission site guards on that option before touching
-//! anything, so a disabled recorder costs one branch on a cold pointer.
+//! is zero-cost when off: the owning `Machine` holds an
+//! `Option<Box<FlightRecorder>>` that is `None` by default, and every
+//! emission site guards on that option before touching anything, so a
+//! disabled recorder costs one branch on a cold pointer.
 //!
 //! Events carry the simulated clock of the core that produced them plus the
 //! installed thread, and export two ways ([`export`]):

@@ -1,8 +1,7 @@
 //! A bounded last-N ring buffer with total/evicted accounting.
 //!
-//! The flight recorder's storage primitive, factored out of `sim-cpu`'s
-//! instruction `Trace` (which is now a thin wrapper over `Ring`): a fixed
-//! capacity, push-evicts-oldest, and a monotone `total_recorded` so
+//! The flight recorder's storage primitive: a fixed capacity,
+//! push-evicts-oldest, and a monotone `total_recorded` so
 //! consumers can tell "ring is short because the run was short" apart from
 //! "ring is short because it wrapped".
 
@@ -90,6 +89,27 @@ mod tests {
         assert_eq!(r.evicted(), 7);
         assert_eq!(r.iter().copied().collect::<Vec<_>>(), vec![7, 8, 9]);
         assert_eq!(r.last(), Some(&9));
+
+        // Against a `VecDeque` capped to the same capacity, after every
+        // push: the retained tail is exactly the last min(pushed, capacity)
+        // items in order, and the lifetime count never misses a push.
+        for capacity in 1..=8 {
+            let mut r = Ring::new(capacity);
+            let mut model = VecDeque::new();
+            for i in 0..3 * capacity as u64 + 2 {
+                r.push(i);
+                model.push_back(i);
+                if model.len() > capacity {
+                    model.pop_front();
+                }
+                assert_eq!(r.total_recorded(), i + 1);
+                assert_eq!(r.len(), model.len());
+                assert_eq!(r.evicted(), i + 1 - model.len() as u64);
+                assert!(r.iter().eq(model.iter()), "capacity {capacity}, push {i}");
+                assert_eq!(r.last(), model.back());
+                assert_eq!(r.is_empty(), model.is_empty());
+            }
+        }
     }
 
     #[test]

@@ -136,8 +136,6 @@ pub struct Core {
     /// Branch predictor state (not virtualized across threads — matching
     /// real hardware, where predictor state leaks across context switches).
     pub predictor: BranchPredictor,
-    /// Optional execution trace ring (host debugging; off by default).
-    pub trace: Option<crate::trace::Trace>,
     /// Per-step user-mode event scratch for the differential oracle
     /// ([`crate::oracle`]); `None` unless the machine's oracle is enabled.
     /// Flushed into the per-thread ledger after every step.
@@ -162,7 +160,6 @@ impl Core {
             ctx: Context::default(),
             running: None,
             predictor: BranchPredictor::new(),
-            trace: None,
             oracle_scratch: None,
             batch: BatchAccrual::default(),
             retired: 0,
@@ -203,11 +200,6 @@ impl Core {
     /// Whether the core has a thread installed.
     pub fn is_busy(&self) -> bool {
         self.running.is_some()
-    }
-
-    /// Enables execution tracing with the given ring capacity.
-    pub fn enable_trace(&mut self, capacity: usize) {
-        self.trace = Some(crate::trace::Trace::new(capacity));
     }
 }
 

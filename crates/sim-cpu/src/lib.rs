@@ -31,7 +31,6 @@ pub mod oracle;
 pub mod pmu;
 pub mod prog;
 pub mod regs;
-pub mod trace;
 pub mod verify;
 
 pub use crate::core::{Core, Mode, Step, Trap};
@@ -46,5 +45,4 @@ pub use oracle::{Divergence, Oracle};
 pub use pmu::{CounterCfg, Pmu, PmuConfig};
 pub use prog::{Label, Program};
 pub use regs::Reg;
-pub use trace::{Trace, TraceEntry};
 pub use verify::{verify, Issue};

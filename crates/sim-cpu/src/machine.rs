@@ -295,9 +295,9 @@ impl Machine {
     }
 
     /// [`Machine::step`]'s body, monomorphized over the block-stepped fast
-    /// path. With `FAST`, the per-instruction observer taps (trace ring,
-    /// differential oracle, flight recorder) compile out entirely — the
-    /// caller ([`Machine::run_until`]) has verified all three are disabled —
+    /// path. With `FAST`, the per-instruction observer taps (differential
+    /// oracle, flight recorder) compile out entirely — the caller
+    /// ([`Machine::run_until`]) has verified both are disabled —
     /// and the caller guarantees the core exists and has a thread installed.
     fn step_impl<const FAST: bool>(&mut self, core_id: CoreId) -> SimResult<Step> {
         let fault = |msg: String| Step {
@@ -323,19 +323,6 @@ impl Machine {
         let mut instrs: u64 = 1;
         let mut trap: Option<Trap> = None;
         let mut next_pc = pc + 1;
-
-        if !FAST {
-            let core = &mut self.cores[core_idx];
-            let (clock, tid) = (core.clock, core.running);
-            if let Some(trace) = &mut core.trace {
-                trace.record(crate::trace::TraceEntry {
-                    clock,
-                    pc,
-                    tid,
-                    instr,
-                });
-            }
-        }
 
         match instr {
             Instr::Imm(..)
@@ -747,10 +734,8 @@ impl Machine {
     pub fn run_until_with(&mut self, limits: &RunLimits, runs: &[LocalRun]) -> SimResult<RunExit> {
         // One gate check per run (not per instruction): with every
         // per-instruction observer off, steps dispatch to the monomorphized
-        // fast body whose trace/oracle/flight taps compile out.
-        let fast = self.oracle.is_none()
-            && self.flight.is_none()
-            && self.cores.iter().all(|c| c.trace.is_none());
+        // fast body whose oracle/flight taps compile out.
+        let fast = self.oracle.is_none() && self.flight.is_none();
         // Busy-key snapshot: within a run, only the picked core's clock
         // moves (the busy set and every other clock change only through
         // kernel actions, which happen outside `run_until`), so the
@@ -1543,23 +1528,6 @@ mod tests {
         m.cores[1].running = Some(ThreadId::new(2));
         m.cores[1].clock = 50;
         assert_eq!(m.next_busy_core(), Some(CoreId::new(1)));
-    }
-
-    #[test]
-    fn tracer_records_execution_order() {
-        let mut a = Asm::new();
-        a.imm(Reg::R1, 1);
-        a.nop();
-        a.halt();
-        let mut m = machine_with(a.assemble().unwrap());
-        m.cores[0].enable_trace(16);
-        install(&mut m, 0);
-        run_to_halt(&mut m, 10);
-        let trace = m.cores[0].trace.as_ref().unwrap();
-        let pcs: Vec<u32> = trace.iter().map(|e| e.pc).collect();
-        assert_eq!(pcs, vec![0, 1, 2]);
-        assert_eq!(trace.total_recorded(), 3);
-        assert!(trace.render().contains("halt"));
     }
 
     #[test]

@@ -26,8 +26,8 @@ pub enum ExecMode {
     /// ([`sim_cpu::Machine::run_until`]): the kernel hands the machine its
     /// poll-point thresholds and gets control back at the next
     /// kernel-visible event. Automatically falls back to single-stepping
-    /// whenever a per-instruction observer (oracle, flight recorder, core
-    /// trace) is attached.
+    /// whenever a per-instruction observer (oracle or flight recorder) is
+    /// attached.
     #[default]
     Block,
     /// The reference per-instruction loop: one `Machine::step` per kernel
@@ -413,12 +413,11 @@ impl Kernel {
     ) -> SimResult<RunReport> {
         let mut next_fire = hook.as_ref().map(|(every, _)| *every);
         // Block-stepped execution needs every per-instruction observer off:
-        // the oracle, the flight recorder, and core traces all hook
-        // individual steps in ways batching would reorder.
+        // the oracle and the flight recorder both hook individual steps in
+        // ways batching would reorder.
         let fast = self.cfg.exec == ExecMode::Block
             && self.machine.oracle().is_none()
-            && self.machine.flight().is_none()
-            && self.machine.cores.iter().all(|c| c.trace.is_none());
+            && self.machine.flight().is_none();
         loop {
             if let Some(t) = stop_on_exit {
                 if self.threads[t.index()].is_exited() {

@@ -13,8 +13,8 @@
 //! equal the per-instance sums (`check-telemetry` verifies this).
 
 use crate::monitor::{findings_json, snapshot_json_with};
-use bench::json::Json;
 use fleet::{run_fleet, ArrivalConfig, ArrivalProcess, FleetConfig, FleetReport, EVENT_NAMES};
+use sim_core::json::Json;
 use workloads::Workload;
 
 /// Knobs of a fleet run (all have CLI flags).

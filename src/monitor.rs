@@ -10,9 +10,9 @@
 //! whole pipeline.
 
 use analysis::online::{classify, DetectorConfig, Finding};
-use bench::json::Json;
 use limit::harness::{Session, SessionBuilder};
 use limit::{LimitReader, LogMode, StreamConfig};
+use sim_core::json::Json;
 use sim_cpu::EventKind;
 use sim_os::io::DEVICE_NAMES;
 use telemetry::{run_streaming, Collector, Snapshot};

@@ -9,6 +9,7 @@ use bench::spans;
 use flight::{Categories, FlightConfig, HostSpan};
 use limit::harness::{Session, SessionBuilder};
 use limit::LimitReader;
+use sim_core::json::Json;
 use sim_cpu::EventKind;
 use workloads::Workload;
 
@@ -172,7 +173,7 @@ pub fn check(path: &str) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
     // A Chrome export parses as a single document (NDJSON has trailing
     // lines and fails here), so try that shape first.
-    if let Ok(doc) = bench::json::Json::parse(&text) {
+    if let Ok(doc) = Json::parse(&text) {
         if doc.get("traceEvents").is_some() {
             return check_chrome(path, &doc);
         }
@@ -205,8 +206,7 @@ pub fn check(path: &str) -> Result<(), String> {
 /// Validates a parsed Chrome trace-event document: non-empty, every event
 /// carries `ph` and `pid`, durations and begin/end markers are paired per
 /// track, and all three synthetic processes are present.
-fn check_chrome(path: &str, doc: &bench::json::Json) -> Result<(), String> {
-    use bench::json::Json;
+fn check_chrome(path: &str, doc: &Json) -> Result<(), String> {
     let events = doc
         .get("traceEvents")
         .and_then(Json::as_array)

@@ -12,7 +12,7 @@
 //! Exit is nonzero if any selected `rdpmc-fixup` cell is not **exact** —
 //! that is the virtualization layer's core promise, and CI smokes it.
 
-use bench::json::Json;
+use sim_core::json::Json;
 use sim_cpu::EventKind;
 use torture::matrix::{
     enumerate_cells, render_report, run_cell, AccessMethod, CellReport, Disturb, MatrixConfig,
@@ -66,7 +66,7 @@ pub fn run(opts: &TrustOptions) -> Result<bool, String> {
     if cells.is_empty() {
         return Err("empty matrix slice — nothing selected".to_string());
     }
-    let reports = bench::parmap_with(opts.jobs, cells, |cell| {
+    let reports = sim_core::parallel::parmap_with(opts.jobs, cells, |cell| {
         let span = bench::spans::start(format!(
             "trust/{}/{}",
             cell.event.mnemonic(),

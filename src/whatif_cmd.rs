@@ -14,7 +14,7 @@
 //! exists in the baseline, and that every arm line's `base_count` /
 //! `base_cycles` agree with the baseline line for that region.
 
-use bench::json::Json;
+use sim_core::json::Json;
 use whatif::{Knob, WhatifConfig, WhatifReport};
 use workloads::Workload;
 
