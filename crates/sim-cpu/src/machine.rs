@@ -633,15 +633,9 @@ impl Machine {
             let core = &mut self.cores[core_idx];
             if let Some(scratch) = &mut core.oracle_scratch {
                 if let Some(tid) = core.running {
-                    for (i, v) in scratch.iter_mut().enumerate() {
-                        if *v > 0 {
-                            oracle.record(tid, EventKind::ALL[i], *v);
-                        }
-                        *v = 0;
-                    }
-                } else {
-                    scratch.fill(0);
+                    oracle.record_step(tid, scratch);
                 }
+                scratch.fill(0);
             }
         }
         // Hardware enhancement 2: self-virtualizing counters spill to guest

@@ -27,8 +27,7 @@
 //! which is exactly the invariant the torture harness exists to test.
 
 use crate::events::EventKind;
-use sim_core::ThreadId;
-use std::collections::HashMap;
+use sim_core::{FxHashMap, ThreadId};
 
 /// One wrong virtualized read caught by the oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,16 +63,16 @@ pub struct Oracle {
     /// Registered restart ranges, sorted by start, non-overlapping.
     ranges: Vec<(u32, u32)>,
     /// Per-thread event tallies (user-mode only, never folded or wrapped).
-    ledger: HashMap<ThreadId, [u64; EventKind::COUNT]>,
+    ledger: FxHashMap<ThreadId, [u64; EventKind::COUNT]>,
     /// Open LiMiT slots: (thread, slot) → (event, ledger baseline at open).
-    opens: HashMap<(ThreadId, u8), (EventKind, u64)>,
+    opens: FxHashMap<(ThreadId, u8), (EventKind, u64)>,
     /// Open perf fds: (thread, fd) → (event, ledger baseline at open).
     /// Entries are *never* removed — fds are allocated monotonically and
     /// land in the kernel's closed-fd graveyard, so post-run host checks
     /// (the sampling arm) can still resolve baselines after thread exit.
-    perf_opens: HashMap<(ThreadId, u32), (EventKind, u64)>,
+    perf_opens: FxHashMap<(ThreadId, u32), (EventKind, u64)>,
     /// At most one in-flight read sequence per thread.
-    pending: HashMap<ThreadId, Pending>,
+    pending: FxHashMap<ThreadId, Pending>,
     /// Reads checked (armed *and* resolved).
     pub checks: u64,
     divergences: Vec<Divergence>,
@@ -98,6 +97,15 @@ impl Oracle {
     /// Adds `n` occurrences of `event` to `tid`'s ledger.
     pub fn record(&mut self, tid: ThreadId, event: EventKind, n: u64) {
         self.ledger.entry(tid).or_insert([0; EventKind::COUNT])[event.index()] += n;
+    }
+
+    /// Adds one step's events (indexed by [`EventKind::index`]) to `tid`'s
+    /// ledger with a single lookup.
+    pub fn record_step(&mut self, tid: ThreadId, events: &[u64; EventKind::COUNT]) {
+        let row = self.ledger.entry(tid).or_insert([0; EventKind::COUNT]);
+        for (total, n) in row.iter_mut().zip(events) {
+            *total += n;
+        }
     }
 
     /// The ledger value for `(tid, event)`.
@@ -333,6 +341,25 @@ mod tests {
         o.record_bounded_error(2);
         assert_eq!(o.bounded_checks(), 2);
         assert_eq!(o.max_abs_error(), 7);
+    }
+
+    #[test]
+    fn record_step_matches_per_event_records() {
+        let mut step = [0; EventKind::COUNT];
+        step[EventKind::Instructions.index()] = 3;
+        step[EventKind::Cycles.index()] = 9;
+        let mut a = Oracle::new(&[]);
+        let mut b = Oracle::new(&[]);
+        for _ in 0..2 {
+            a.record_step(T, &step);
+            for (i, &n) in step.iter().enumerate() {
+                b.record(T, EventKind::ALL[i], n);
+            }
+        }
+        for &e in EventKind::ALL.iter() {
+            assert_eq!(a.ledger(T, e), b.ledger(T, e), "{e:?}");
+        }
+        assert_eq!(a.ledger(T, EventKind::Cycles), 18);
     }
 
     #[test]

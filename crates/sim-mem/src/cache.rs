@@ -93,11 +93,20 @@ pub struct Lookup {
 ///
 /// The cache stores only line presence and dirtiness — data contents live in
 /// guest memory; this is a timing/event model, not a value model.
+///
+/// Sets are materialised on first touch: building a cache reserves the way
+/// array without writing it, and [`Cache::access`] appends a set's ways the
+/// first time that set is used. A short session therefore pays for the sets
+/// it touches, not for the whole geometry.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// All ways, flattened: set `s` occupies `ways[s*w .. (s+1)*w]`.
+    /// Ways of the materialised sets, flattened in first-touch order: the set
+    /// with slot `k` occupies `ways[(k-1)*w .. k*w]`.
     ways: Vec<Way>,
+    /// Per-set 1-based slot into `ways`; 0 means the set is untouched since
+    /// construction or the last [`Cache::flush`].
+    slot: Vec<u32>,
     /// `sets() - 1`, precomputed — set selection is a shift-and-mask, not
     /// a division, on the per-access path.
     set_mask: u64,
@@ -112,15 +121,17 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Builds a cache from a validated config.
+    /// Builds a cache from a validated config. O(sets): the way array is
+    /// reserved, not written.
     pub fn new(config: CacheConfig) -> SimResult<Self> {
         config.validate()?;
-        let ways = vec![Way::default(); (config.sets() as usize) * config.ways];
+        let sets = config.sets() as usize;
         Ok(Cache {
             set_mask: config.sets() - 1,
-            mru: vec![0; config.sets() as usize],
+            ways: Vec::with_capacity(sets * config.ways),
+            slot: vec![0; sets],
+            mru: vec![0; sets],
             config,
-            ways,
             stamp: 0,
             hits: 0,
             misses: 0,
@@ -133,19 +144,38 @@ impl Cache {
     }
 
     #[inline]
-    fn set_of(&mut self, line: u64) -> &mut [Way] {
-        let set_idx = ((line / LINE_BYTES) & self.set_mask) as usize;
-        let w = self.config.ways;
-        &mut self.ways[set_idx * w..(set_idx + 1) * w]
+    fn set_index(&self, line: u64) -> usize {
+        ((line / LINE_BYTES) & self.set_mask) as usize
+    }
+
+    /// Start of set `set_idx` in `ways`, or `None` if it is untouched.
+    #[inline]
+    fn base(&self, set_idx: usize) -> Option<usize> {
+        match self.slot[set_idx] {
+            0 => None,
+            k => Some((k as usize - 1) * self.config.ways),
+        }
+    }
+
+    /// Appends empty ways for the untouched set `set_idx`; returns its base.
+    #[cold]
+    fn materialise(&mut self, set_idx: usize) -> usize {
+        let base = self.ways.len();
+        self.ways.resize(base + self.config.ways, Way::default());
+        self.slot[set_idx] = (base / self.config.ways) as u32 + 1;
+        base
     }
 
     /// Looks up `addr`, filling the line on miss. Returns hit/miss and any
     /// eviction. `write` marks the line dirty.
     pub fn access(&mut self, addr: u64, write: bool) -> Lookup {
         let line = line_of(addr);
-        let set_idx = ((line / LINE_BYTES) & self.set_mask) as usize;
+        let set_idx = self.set_index(line);
         let w = self.config.ways;
-        let base = set_idx * w;
+        let base = match self.base(set_idx) {
+            Some(base) => base,
+            None => self.materialise(set_idx),
+        };
 
         // Most-recently-used fast path: a repeat access to the set's MRU
         // way needs no scan and no LRU stamp (it is already most-recent;
@@ -205,32 +235,31 @@ impl Cache {
     /// Whether the line containing `addr` is present.
     pub fn contains(&self, addr: u64) -> bool {
         let line = line_of(addr);
-        let set_idx = ((line / LINE_BYTES) & self.set_mask) as usize;
-        let w = self.config.ways;
-        self.ways[set_idx * w..(set_idx + 1) * w]
-            .iter()
-            .any(|way| way.line == line)
+        self.base(self.set_index(line)).is_some_and(|base| {
+            self.ways[base..base + self.config.ways]
+                .iter()
+                .any(|way| way.line == line)
+        })
     }
 
     /// Removes the line containing `addr`, returning whether it was present
     /// and dirty (i.e. whether an invalidation writeback is required).
     pub fn invalidate(&mut self, addr: u64) -> Option<bool> {
         let line = line_of(addr);
-        for way in self.set_of(line) {
-            if way.line == line {
-                let dirty = way.dirty;
-                *way = Way::default();
-                return Some(dirty);
-            }
-        }
-        None
+        let base = self.base(self.set_index(line))?;
+        let way = self.ways[base..base + self.config.ways]
+            .iter_mut()
+            .find(|way| way.line == line)?;
+        let dirty = way.dirty;
+        *way = Way::default();
+        Some(dirty)
     }
 
-    /// Drops every line (e.g. between experiment repetitions).
+    /// Drops every line (e.g. between experiment repetitions); every set
+    /// becomes untouched again.
     pub fn flush(&mut self) {
-        for way in &mut self.ways {
-            *way = Way::default();
-        }
+        self.slot.fill(0);
+        self.ways.clear();
     }
 
     /// Lifetime hit count.
@@ -243,7 +272,12 @@ impl Cache {
         self.misses
     }
 
-    /// Number of currently-valid lines.
+    /// Number of sets materialised since construction or the last flush.
+    pub fn touched_sets(&self) -> usize {
+        self.ways.len() / self.config.ways
+    }
+
+    /// Number of currently-valid lines (scans only the materialised sets).
     pub fn occupancy(&self) -> usize {
         self.ways.iter().filter(|w| w.line != Way::INVALID).count()
     }
@@ -354,8 +388,10 @@ mod tests {
         c.access(0x0, true);
         c.access(0x40, false);
         assert_eq!(c.occupancy(), 2);
+        assert_eq!(c.touched_sets(), 2);
         c.flush();
         assert_eq!(c.occupancy(), 0);
+        assert_eq!(c.touched_sets(), 0, "flush leaves every set untouched");
         assert!(!c.contains(0x0));
     }
 

@@ -7,9 +7,12 @@ use sim_core::{CoreId, DetRng};
 use sim_mem::{Cache, CacheConfig, HierarchyConfig, MemorySystem};
 use std::collections::HashMap;
 
-/// A brute-force reference cache: per-set vectors ordered by recency.
+/// A brute-force reference cache: per-set vectors of `(line, dirty)`
+/// ordered by recency, plus which sets an access touched since the last
+/// flush (the production cache materialises exactly those).
 struct RefCache {
-    sets: Vec<Vec<u64>>, // most-recent first
+    sets: Vec<Vec<(u64, bool)>>, // most-recent first
+    touched: Vec<bool>,
     ways: usize,
 }
 
@@ -17,6 +20,7 @@ impl RefCache {
     fn new(sets: usize, ways: usize) -> Self {
         RefCache {
             sets: vec![Vec::new(); sets],
+            touched: vec![false; sets],
             ways,
         }
     }
@@ -25,31 +29,63 @@ impl RefCache {
         ((line / 64) % self.sets.len() as u64) as usize
     }
 
-    /// Returns whether the access hit.
-    fn access(&mut self, addr: u64) -> bool {
+    /// Returns the `Lookup` fields: `(hit, writeback, evicted)`.
+    fn access(&mut self, addr: u64, write: bool) -> (bool, Option<u64>, Option<u64>) {
         let line = addr & !63;
         let set = self.set_of(line);
+        self.touched[set] = true;
         let v = &mut self.sets[set];
-        if let Some(pos) = v.iter().position(|&l| l == line) {
-            v.remove(pos);
-            v.insert(0, line);
-            true
-        } else {
-            v.insert(0, line);
-            v.truncate(self.ways);
-            false
+        if let Some(pos) = v.iter().position(|&(l, _)| l == line) {
+            let (_, dirty) = v.remove(pos);
+            v.insert(0, (line, dirty || write));
+            return (true, None, None);
         }
+        v.insert(0, (line, write));
+        let victim = (v.len() > self.ways).then(|| v.pop().expect("over-full set"));
+        (
+            false,
+            victim.and_then(|(l, dirty)| dirty.then_some(l)),
+            victim.map(|(l, _)| l),
+        )
+    }
+
+    fn contains(&self, addr: u64) -> bool {
+        let line = addr & !63;
+        self.sets[self.set_of(line)].iter().any(|&(l, _)| l == line)
+    }
+
+    fn invalidate(&mut self, addr: u64) -> Option<bool> {
+        let line = addr & !63;
+        let set = self.set_of(line);
+        let pos = self.sets[set].iter().position(|&(l, _)| l == line)?;
+        Some(self.sets[set].remove(pos).1)
+    }
+
+    fn flush(&mut self) {
+        self.sets.iter_mut().for_each(Vec::clear);
+        self.touched.fill(false);
+    }
+
+    fn occupancy(&self) -> usize {
+        self.sets.iter().map(Vec::len).sum()
+    }
+
+    fn touched_sets(&self) -> usize {
+        self.touched.iter().filter(|&&t| t).count()
     }
 }
 
 proptest! {
     /// The production cache and the reference model agree on every
-    /// hit/miss over arbitrary traces.
+    /// `Lookup` field (hit, writeback, evicted) of reads and writes, on
+    /// `contains` and `invalidate` over touched and untouched sets, across
+    /// mid-trace flushes, and on occupancy and the set of materialised
+    /// sets after every operation.
     #[test]
     fn cache_matches_reference_model(
-        trace in prop::collection::vec(0u64..(1 << 14), 1..400),
+        trace in prop::collection::vec((0u8..64, 0u64..(1 << 14)), 1..400),
         ways in 1usize..5,
-        sets_log in 1u32..5,
+        sets_log in 1u32..8,
     ) {
         let sets = 1usize << sets_log;
         let config = CacheConfig {
@@ -58,14 +94,46 @@ proptest! {
         };
         let mut cache = Cache::new(config).unwrap();
         let mut reference = RefCache::new(sets, ways);
-        for &a in &trace {
+        let mut accesses = 0u64;
+        prop_assert_eq!(cache.touched_sets(), 0);
+        for &(op, a) in &trace {
             let addr = a * 8; // 8-byte-aligned addresses
-            let got = cache.access(addr, false).hit;
-            let want = reference.access(addr);
-            prop_assert_eq!(got, want, "divergence at addr {:#x}", addr);
+            match op {
+                0..=43 => {
+                    let write = op >= 24;
+                    accesses += 1;
+                    let got = cache.access(addr, write);
+                    let got = (got.hit, got.writeback, got.evicted);
+                    let want = reference.access(addr, write);
+                    prop_assert_eq!(got, want, "access({:#x}, {})", addr, write);
+                }
+                44..=52 => prop_assert_eq!(
+                    cache.invalidate(addr),
+                    reference.invalidate(addr),
+                    "invalidate({:#x})",
+                    addr
+                ),
+                53..=61 => prop_assert_eq!(
+                    cache.contains(addr),
+                    reference.contains(addr),
+                    "contains({:#x})",
+                    addr
+                ),
+                _ => {
+                    cache.flush();
+                    reference.flush();
+                }
+            }
+            prop_assert_eq!(cache.occupancy(), reference.occupancy(), "occupancy");
+            prop_assert_eq!(
+                cache.touched_sets(),
+                reference.touched_sets(),
+                "materialised sets after op {} at {:#x}",
+                op,
+                addr
+            );
         }
-        prop_assert_eq!(cache.hits() + cache.misses(), trace.len() as u64);
-        prop_assert!(cache.occupancy() <= sets * ways);
+        prop_assert_eq!(cache.hits() + cache.misses(), accesses);
     }
 
     /// Hierarchy sanity under random multicore traffic: event flags are

@@ -13,8 +13,7 @@
 //! re-running with a subset of the injection list is how delta debugging
 //! minimizes a failing schedule.
 
-use sim_core::ThreadId;
-use std::collections::HashMap;
+use sim_core::{FxHashMap, ThreadId};
 use std::fmt;
 
 /// A disturbance the kernel can force at an instruction boundary.
@@ -95,8 +94,8 @@ impl fmt::Display for Injection {
 /// Occurrence-counting trigger table compiled from a schedule.
 #[derive(Debug, Default)]
 pub struct Injector {
-    triggers: HashMap<(ThreadId, u32), Vec<(u32, InjectAction)>>,
-    seen: HashMap<(ThreadId, u32), u32>,
+    triggers: FxHashMap<(ThreadId, u32), Vec<(u32, InjectAction)>>,
+    seen: FxHashMap<(ThreadId, u32), u32>,
     /// Injections actually fired.
     pub fired: u64,
 }
@@ -104,7 +103,7 @@ pub struct Injector {
 impl Injector {
     /// Compiles a schedule into a trigger table.
     pub fn new(schedule: &[Injection]) -> Self {
-        let mut triggers: HashMap<(ThreadId, u32), Vec<(u32, InjectAction)>> = HashMap::new();
+        let mut triggers: FxHashMap<_, Vec<_>> = FxHashMap::default();
         for inj in schedule {
             triggers
                 .entry((inj.tid, inj.pc))
@@ -113,7 +112,7 @@ impl Injector {
         }
         Injector {
             triggers,
-            seen: HashMap::new(),
+            seen: FxHashMap::default(),
             fired: 0,
         }
     }

@@ -58,7 +58,7 @@ impl Default for FleetOptions {
             jobs: base.jobs,
             interval: base.interval,
             capacity: base.capacity,
-            out_dir: "results".to_string(),
+            out_dir: crate::OUT_DIR.to_string(),
         }
     }
 }

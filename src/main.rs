@@ -31,6 +31,10 @@ mod trace;
 mod trust_cmd;
 mod whatif_cmd;
 
+/// Default `--out-dir` of every surface except `run`: ad-hoc outputs stay
+/// out of `results/`, which holds only the gated experiment tables.
+const OUT_DIR: &str = "out";
+
 const EXPERIMENTS: [(&str, &str); 19] = [
     ("e1", "read-cost table (the headline)"),
     ("e2", "instrumentation overhead on mysqld"),
@@ -646,7 +650,7 @@ fn torture_cmd(args: &[String]) -> Result<ExitCode, String> {
     let mut cfg = TortureConfig::default();
     let mut fixup = "both".to_string();
     let mut replay: Option<(u64, u64)> = None;
-    let mut out_dir = "results".to_string();
+    let mut out_dir = OUT_DIR.to_string();
     for (key, value) in parse_flags(
         args,
         &["schedules", "seed", "fixup", "spill", "replay", "out-dir"],
@@ -802,7 +806,8 @@ fn usage() {
   trace <{w}>
         [--out-dir DIR] [--buf-slots N] [--categories LIST]
                                                         flight-record a workload run
-  check-trace <file>                                    validate an NDJSON flight trace"
+  check-trace <file>                                    validate an NDJSON flight trace
+--out-dir defaults to out/ (run: results/)"
     );
 }
 

@@ -72,7 +72,7 @@ impl Default for MonitorOptions {
             queries: 150,
             interval: 50_000,
             capacity: 256,
-            out_dir: "results".to_string(),
+            out_dir: crate::OUT_DIR.to_string(),
         }
     }
 }

@@ -36,7 +36,7 @@ pub struct TraceOptions {
 impl Default for TraceOptions {
     fn default() -> Self {
         TraceOptions {
-            out_dir: "results".to_string(),
+            out_dir: crate::OUT_DIR.to_string(),
             buf_slots: 1 << 20,
             categories: Categories::ALL,
         }

@@ -38,7 +38,7 @@ impl Default for TrustOptions {
             events: EventKind::ALL.to_vec(),
             methods: AccessMethod::ALL.to_vec(),
             disturbs: Disturb::ALL.to_vec(),
-            out_dir: "results".to_string(),
+            out_dir: crate::OUT_DIR.to_string(),
         }
     }
 }

@@ -62,7 +62,7 @@ impl Default for WhatifOptions {
             buckets: None,
             hold_rmws: None,
             bufpool: None,
-            out_dir: "results".to_string(),
+            out_dir: crate::OUT_DIR.to_string(),
         }
     }
 }

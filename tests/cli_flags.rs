@@ -47,3 +47,41 @@ fn stat_rejects_every_flag_by_name() {
         );
     }
 }
+
+/// Without `--out-dir`, the ad-hoc surfaces write under `out/` of the
+/// working directory and never create `results/`, which holds only the
+/// gated `run` tables (`tests/results_files.rs`).
+#[test]
+fn surfaces_default_to_out_dir() {
+    let cwd = std::env::temp_dir().join(format!("limit-repro-out-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&cwd);
+    std::fs::create_dir_all(&cwd).expect("create temp cwd");
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &["monitor", "mysqld", "--threads", "2", "--queries", "20"],
+            "telemetry-mysqld.json",
+        ),
+        (
+            &["fleet", "mysqld", "--instances", "2", "--threads", "2"],
+            "fleet-mysqld.json",
+        ),
+    ];
+    for (args, file) in cases {
+        let out = Command::new(env!("CARGO_BIN_EXE_limit-repro"))
+            .args(args)
+            .current_dir(&cwd)
+            .output()
+            .expect("spawn limit-repro");
+        assert!(
+            out.status.success(),
+            "{args:?} failed:\n{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(
+            cwd.join("out").join(file).is_file(),
+            "{args:?}: no out/{file}"
+        );
+    }
+    assert!(!cwd.join("results").exists(), "a surface created results/");
+    std::fs::remove_dir_all(&cwd).expect("remove temp cwd");
+}
