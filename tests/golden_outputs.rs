@@ -92,6 +92,21 @@ fn monitor_logstore() {
     );
 }
 
+/// Hundreds of drain ticks, each with I/O rows: pins the incremental
+/// collector view across many publishes, not just a handful.
+#[test]
+fn monitor_logstore_many_ticks() {
+    check(
+        "monitor-logstore-many-ticks",
+        &["monitor", "logstore", "--threads", "4", "--queries", "200"],
+        true,
+        &[
+            ("stdout", 0x68d7_3046_56fd_148a),
+            ("out/telemetry-logstore.json", 0xcd3a_56aa_599e_3d35),
+        ],
+    );
+}
+
 #[test]
 fn fleet_mysqld() {
     check(
