@@ -12,11 +12,10 @@
 //! critical section as `X.hold` (e.g. `mysql.table.acq` /
 //! `mysql.table.hold`).
 
-use crate::bottleneck::BottleneckReport;
 use sim_cpu::EventKind;
 use sim_os::io::DEVICE_NAMES;
 use std::fmt;
-use telemetry::Snapshot;
+use telemetry::{RegionSnapshot, Snapshot};
 
 /// Classifier thresholds.
 #[derive(Debug, Clone)]
@@ -109,23 +108,13 @@ pub fn classify(snap: &Snapshot, events: &[EventKind], cfg: &DetectorConfig) -> 
         return Vec::new();
     }
 
-    // Rank every region by cycle share with the shared bottleneck logic.
-    let ranking = BottleneckReport::from_totals(
-        snap.regions
-            .iter()
-            .map(|r| (r.name.clone(), r.event_sum(cyc), r.count)),
-        total,
-    );
-    let share_of = |name: &str| {
-        ranking
-            .items
-            .iter()
-            .find(|b| b.name == name)
-            .map_or(0.0, |b| b.share)
-    };
+    // A region's share of instrumented cycles: the same f64 that
+    // `BottleneckReport::from_totals` computes (region names are unique
+    // within a session, so there is no ranking to consult).
+    let share_of = |r: &RegionSnapshot| r.event_sum(cyc) as f64 / total as f64;
 
     let mut findings = Vec::new();
-    let mut claimed: Vec<String> = Vec::new();
+    let mut claimed: Vec<&str> = Vec::new();
 
     // Lock contention: pair `X.acq` with `X.hold`.
     for acq in &snap.regions {
@@ -136,10 +125,11 @@ pub fn classify(snap: &Snapshot, events: &[EventKind], cfg: &DetectorConfig) -> 
             continue;
         }
         let acq_cycles = acq.event_sum(cyc);
-        let hold_name = format!("{class}.hold");
-        let (hold_cycles, hold_count) = snap
-            .region(&hold_name)
-            .map_or((0, 0), |h| (h.event_sum(cyc), h.count));
+        let hold = snap
+            .regions
+            .iter()
+            .find(|h| h.name.strip_suffix(".hold") == Some(class));
+        let (hold_cycles, hold_count) = hold.map_or((0, 0), |h| (h.event_sum(cyc), h.count));
         let share = (acq_cycles + hold_cycles) as f64 / total as f64;
         if share < cfg.hot_share {
             continue;
@@ -154,8 +144,8 @@ pub fn classify(snap: &Snapshot, events: &[EventKind], cfg: &DetectorConfig) -> 
                     acq_cycles, acq.count, hold_cycles, hold_count
                 ),
             });
-            claimed.push(acq.name.clone());
-            claimed.push(hold_name);
+            claimed.push(&acq.name);
+            claimed.extend(hold.map(|h| h.name.as_str()));
         }
     }
 
@@ -165,10 +155,10 @@ pub fn classify(snap: &Snapshot, events: &[EventKind], cfg: &DetectorConfig) -> 
     // before the memory/cpu pass — a region waiting on fsync would
     // otherwise read as hot compute.
     for r in &snap.regions {
-        if r.count < cfg.min_count || claimed.contains(&r.name) {
+        if r.count < cfg.min_count || claimed.contains(&r.name.as_str()) {
             continue;
         }
-        let share = share_of(&r.name);
+        let share = share_of(r);
         if share < cfg.hot_share {
             continue;
         }
@@ -197,15 +187,15 @@ pub fn classify(snap: &Snapshot, events: &[EventKind], cfg: &DetectorConfig) -> 
                 slow
             ),
         });
-        claimed.push(r.name.clone());
+        claimed.push(&r.name);
     }
 
     // Memory-bound / compute-bound on the remaining regions.
     for r in &snap.regions {
-        if r.count < cfg.min_count || claimed.contains(&r.name) {
+        if r.count < cfg.min_count || claimed.contains(&r.name.as_str()) {
             continue;
         }
-        let share = share_of(&r.name);
+        let share = share_of(r);
         if share < cfg.hot_share {
             continue;
         }

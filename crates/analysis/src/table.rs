@@ -31,12 +31,6 @@ impl Table {
         self
     }
 
-    /// Convenience: appends a row of displayable cells.
-    pub fn row_of(&mut self, cells: &[&dyn fmt::Display]) -> &mut Self {
-        let v: Vec<String> = cells.iter().map(|c| c.to_string()).collect();
-        self.row(&v)
-    }
-
     /// Number of data rows.
     pub fn len(&self) -> usize {
         self.rows.len()

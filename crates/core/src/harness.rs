@@ -13,7 +13,7 @@ use crate::instrument::{StreamConfig, ENTER_MARK_PREFIX, EXIT_MARK_PREFIX};
 use crate::report::{parse_log, RegionRecord, Regions};
 use crate::tls;
 use flight::{EventData, FlightConfig, RegionMark};
-use sim_core::{CoreId, Freq, SimError, SimResult, ThreadId};
+use sim_core::{Freq, SimError, SimResult, ThreadId};
 use sim_cpu::{Asm, EventKind, Machine, MachineConfig, MemLayout};
 use sim_os::{IoRing, Kernel, KernelConfig, RunReport};
 use std::collections::HashMap;
@@ -281,25 +281,6 @@ impl Session {
     /// The TLS base is passed in `r0`; `extra` arguments (at most 5) follow
     /// in `r1..`.
     pub fn spawn_instrumented(&mut self, entry: &str, extra: &[u64]) -> SimResult<ThreadId> {
-        self.spawn_inner(entry, extra, None)
-    }
-
-    /// Like [`Session::spawn_instrumented`], pinned to `core`.
-    pub fn spawn_instrumented_pinned(
-        &mut self,
-        entry: &str,
-        extra: &[u64],
-        core: CoreId,
-    ) -> SimResult<ThreadId> {
-        self.spawn_inner(entry, extra, Some(core))
-    }
-
-    fn spawn_inner(
-        &mut self,
-        entry: &str,
-        extra: &[u64],
-        core: Option<CoreId>,
-    ) -> SimResult<ThreadId> {
         if extra.len() > 5 {
             return Err(SimError::Harness("at most 5 extra spawn args".into()));
         }
@@ -343,7 +324,7 @@ impl Session {
         let mut args = vec![tls_base];
         args.extend_from_slice(extra);
         let pc = self.kernel.machine.prog.entry(entry)?;
-        let tid = self.kernel.spawn_at(pc, &args, core);
+        let tid = self.kernel.spawn_at(pc, &args, None);
         if let Some(cfg) = self.stream {
             // Let the kernel append blocking-I/O wait records to the same
             // telemetry ring the thread's instrumentation streams into.

@@ -152,11 +152,6 @@ impl MemLayout {
         addr
     }
 
-    /// Allocates one cache-line-aligned 64-bit word.
-    pub fn alloc_word(&mut self) -> u64 {
-        self.alloc(8, 64)
-    }
-
     /// Allocates an array of `n` 64-bit words, cache-line aligned.
     pub fn alloc_words(&mut self, n: u64) -> u64 {
         self.alloc(n * 8, 64)

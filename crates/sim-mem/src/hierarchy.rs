@@ -230,14 +230,6 @@ impl MemorySystem {
         self.sharers.get(&line).copied().unwrap_or(0) & !(1u64 << core.index())
     }
 
-    /// Evicts `line` from a core's private caches, maintaining inclusion and
-    /// the directory.
-    fn evict_private(&mut self, core: CoreId, line: u64) {
-        self.l1[core.index()].invalidate(line);
-        self.l2[core.index()].invalidate(line);
-        self.clear_sharer(line, core);
-    }
-
     /// Performs a data access by `core` to byte address `addr` at cycle
     /// `now`. Returns latency, servicing level, and countable events.
     pub fn access(&mut self, core: CoreId, addr: u64, write: bool, now: u64) -> MemAccess {
@@ -403,12 +395,6 @@ impl MemorySystem {
         for t in &mut self.tlbs {
             t.flush();
         }
-    }
-
-    /// Removes a specific core's private copy of the line holding `addr`
-    /// (used by tests and by migration modeling).
-    pub fn purge_private(&mut self, core: CoreId, addr: u64) {
-        self.evict_private(core, line_of(addr));
     }
 
     /// DRAM statistics.

@@ -139,16 +139,6 @@ impl IoParams {
         }
     }
 
-    /// Mutable access to the distribution of device `d`.
-    pub fn device_mut(&mut self, d: usize) -> Option<&mut LatencyDist> {
-        match d {
-            0 => Some(&mut self.disk),
-            1 => Some(&mut self.net),
-            2 => Some(&mut self.fsync),
-            _ => None,
-        }
-    }
-
     /// Validates every device's latency bounds.
     pub fn validate(&self) -> SimResult<()> {
         self.disk.validate("disk")?;

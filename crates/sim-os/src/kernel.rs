@@ -8,7 +8,7 @@
 
 use crate::futex::FutexTable;
 use crate::inject::{InjectAction, Injection, Injector};
-use crate::io::{IoDeviceStats, IoParams, IoRing, IoSubsystem, PendingIo, DEVICES, DEVICE_NAMES};
+use crate::io::{IoParams, IoRing, IoSubsystem, PendingIo, DEVICES, DEVICE_NAMES};
 use crate::limitmod::{LimitMod, RangeReg};
 use crate::perf::{PerfFd, PerfSubsystem, Sample};
 use crate::sched::Scheduler;
@@ -322,11 +322,6 @@ impl Kernel {
         &self.limit
     }
 
-    /// Per-device I/O lifetime totals, indexed by device id.
-    pub fn io_stats(&self) -> [IoDeviceStats; DEVICES] {
-        self.io.stats()
-    }
-
     /// Registers the telemetry ring the kernel appends `tid`'s I/O wait
     /// records to. Called by stream-mode harnesses at spawn; without a
     /// registration the wait is still charged, just not ring-visible.
@@ -357,12 +352,6 @@ impl Kernel {
         }
         s.sort_by_key(|x| x.cycle);
         s
-    }
-
-    /// Reads a perf fd's kernel accumulator post-run (counting fds that
-    /// were never closed keep their fold-ins).
-    pub fn perf_accum(&self, fd: u32) -> SimResult<u64> {
-        self.perf.get(fd).map(|f| f.accum)
     }
 
     /// Runs until every thread has exited. Returns the accounting report.

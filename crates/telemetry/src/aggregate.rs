@@ -1,15 +1,18 @@
-//! Sharded online aggregation of drained telemetry records.
+//! Incremental aggregation of drained telemetry records.
 //!
-//! One [`AggShard`] per collector stripe; each folds records in O(1) with
-//! no per-record allocation (a region's stats are allocated once, on first
-//! sight). Shards merge on demand — merging is associative and
-//! commutative, so any merge order over any partition of the record stream
-//! yields the same result as single-shard aggregation (property-tested in
-//! `tests/aggregator_props.rs`).
+//! The collector keeps one merged [`View`]: a row table of
+//! [`RegionSnapshot`]s, one per region id, that every drained record folds
+//! into in O(1) with no per-record allocation (a row is allocated once, on
+//! its region's first record). Publishing the view costs what changed since
+//! the last publish: rows are re-sorted into the canonical order only when a
+//! record was folded, and names are looked up only for rows still carrying
+//! the `#id` placeholder. `tests/view_props.rs` checks the view against a
+//! from-scratch fold of the same record stream after every drain.
 
-use sim_core::Histogram;
+use crate::snapshot::{canonical_order, RegionSnapshot, Snapshot};
+use limit::report::Regions;
+use sim_core::{FxHashMap, Histogram};
 use sim_os::io::SLOW_IO_CYCLES;
-use std::collections::HashMap;
 
 /// Per-device blocking-I/O statistics attributed to one region: a
 /// log₂-bucketed wait-latency histogram (call count and wait-cycle sum
@@ -37,8 +40,8 @@ impl IoStat {
     }
 }
 
-/// Merges per-device I/O stats keyed by device id (shared by shard merge
-/// and snapshot roll-up; keeps the vec sorted by device).
+/// Merges per-device I/O stats keyed by device id (the snapshot roll-up;
+/// keeps the vec sorted by device).
 pub fn merge_io_stats(ours: &mut Vec<IoStat>, theirs: &[IoStat]) {
     for t in theirs {
         match ours.iter_mut().find(|s| s.device == t.device) {
@@ -52,60 +55,66 @@ pub fn merge_io_stats(ours: &mut Vec<IoStat>, theirs: &[IoStat]) {
     ours.sort_by_key(|s| s.device);
 }
 
-/// Streaming statistics for one region: exit count plus one log₂-bucketed
-/// histogram (count/sum/min/max included) per event kind.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RegionStats {
-    /// Region exits folded in.
-    pub count: u64,
-    /// Per-event delta distributions, indexed like the session's event set.
-    pub events: Vec<Histogram>,
-    /// Per-device blocking-I/O waits attributed to this region (sparse,
-    /// sorted by device; empty for regions that never block).
-    pub io: Vec<IoStat>,
+/// The collector's merged view: every drained record folded into one row
+/// per region.
+#[derive(Debug)]
+pub(crate) struct View {
+    /// Event deltas per record.
+    pub(crate) counters: usize,
+    /// The view itself. Its rows (one per region id) are in canonical order
+    /// as of the last [`View::settle`]; rows first seen since then are
+    /// appended at the end. The collector stamps the transport counters.
+    pub(crate) snap: Snapshot,
+    /// Region id → index of its row in `snap.regions`.
+    index: FxHashMap<u64, usize>,
+    /// Ids whose rows still carry the `#id` placeholder name.
+    unnamed: Vec<u64>,
+    /// Whether a record was folded since the last settle.
+    dirty: bool,
 }
 
-impl RegionStats {
-    fn new(counters: usize) -> Self {
-        RegionStats {
-            count: 0,
-            events: vec![Histogram::new(); counters],
-            io: Vec::new(),
-        }
-    }
-
-    /// Total of event `i`'s deltas across all folded records.
-    pub fn event_sum(&self, i: usize) -> u64 {
-        self.events.get(i).map_or(0, |h| h.sum() as u64)
-    }
-}
-
-/// One aggregation shard: a per-region stats table.
-#[derive(Debug, Clone, PartialEq)]
-pub struct AggShard {
-    counters: usize,
-    regions: HashMap<u64, RegionStats>,
-}
-
-impl AggShard {
-    /// An empty shard for records carrying `counters` event deltas.
-    pub fn new(counters: usize) -> Self {
-        AggShard {
+impl View {
+    /// An empty view for records carrying `counters` event deltas.
+    pub(crate) fn new(counters: usize) -> Self {
+        View {
             counters,
-            regions: HashMap::new(),
+            snap: Snapshot::empty(),
+            index: FxHashMap::default(),
+            unnamed: Vec::new(),
+            dirty: false,
         }
     }
 
-    /// Folds one record. O(1); allocates only the first time a region id
-    /// is seen.
-    pub fn fold(&mut self, region: u64, deltas: &[u64]) {
+    fn row(&mut self, id: u64) -> &mut RegionSnapshot {
+        self.dirty = true;
+        let i = match self.index.get(&id) {
+            Some(&i) => i,
+            None => self.add_row(id),
+        };
+        &mut self.snap.regions[i]
+    }
+
+    #[cold]
+    fn add_row(&mut self, id: u64) -> usize {
+        let i = self.snap.regions.len();
+        self.snap.regions.push(RegionSnapshot {
+            id,
+            name: format!("#{id}"),
+            count: 0,
+            events: vec![Histogram::new(); self.counters],
+            io: Vec::new(),
+        });
+        self.index.insert(id, i);
+        self.unnamed.push(id);
+        i
+    }
+
+    /// Folds one region-exit record.
+    pub(crate) fn fold(&mut self, region: u64, deltas: &[u64]) {
         debug_assert_eq!(deltas.len(), self.counters);
-        let stats = self
-            .regions
-            .entry(region)
-            .or_insert_with(|| RegionStats::new(self.counters));
-        stats.count += 1;
-        for (h, &d) in stats.events.iter_mut().zip(deltas) {
+        let row = self.row(region);
+        row.count += 1;
+        for (h, &d) in row.events.iter_mut().zip(deltas) {
             h.record(d);
         }
     }
@@ -113,77 +122,73 @@ impl AggShard {
     /// Folds one kernel-emitted I/O wait record: `wait` cycles spent
     /// blocked on `device`, attributed to `region`. Does not bump the
     /// region's exit count — I/O records ride alongside exit records.
-    pub fn fold_io(&mut self, region: u64, device: usize, wait: u64) {
-        let stats = self
-            .regions
-            .entry(region)
-            .or_insert_with(|| RegionStats::new(self.counters));
-        let io = match stats.io.iter_mut().find(|s| s.device == device) {
-            Some(s) => s,
-            None => {
-                stats.io.push(IoStat {
-                    device,
-                    hist: Histogram::new(),
-                    slow_calls: 0,
-                });
-                stats.io.sort_by_key(|s| s.device);
-                stats
-                    .io
-                    .iter_mut()
-                    .find(|s| s.device == device)
-                    .expect("just inserted")
+    pub(crate) fn fold_io(&mut self, region: u64, device: usize, wait: u64) {
+        let io = &mut self.row(region).io;
+        let at = match io.binary_search_by_key(&device, |s| s.device) {
+            Ok(at) => at,
+            Err(at) => {
+                io.insert(
+                    at,
+                    IoStat {
+                        device,
+                        hist: Histogram::new(),
+                        slow_calls: 0,
+                    },
+                );
+                at
             }
         };
-        io.hist.record(wait);
+        io[at].hist.record(wait);
         if wait > SLOW_IO_CYCLES {
-            io.slow_calls += 1;
+            io[at].slow_calls += 1;
         }
     }
 
-    /// Merges another shard into this one.
-    pub fn merge(&mut self, other: &AggShard) {
-        debug_assert_eq!(other.counters, self.counters);
-        for (&region, theirs) in &other.regions {
-            let ours = self
-                .regions
-                .entry(region)
-                .or_insert_with(|| RegionStats::new(self.counters));
-            ours.count += theirs.count;
-            for (h, o) in ours.events.iter_mut().zip(&theirs.events) {
-                h.merge(o);
+    /// Brings the view up to date: resolves placeholder names against
+    /// `regions` and, if a record was folded since the last settle,
+    /// restores the canonical row order.
+    pub(crate) fn settle(&mut self, regions: &Regions) {
+        let (rows, index) = (&mut self.snap.regions, &self.index);
+        self.unnamed.retain(|&id| match defined(regions, id) {
+            Some(name) => {
+                rows[index[&id]].name = name.to_string();
+                false
             }
-            merge_io_stats(&mut ours.io, &theirs.io);
+            None => true,
+        });
+        if self.dirty {
+            self.dirty = false;
+            let rows = &mut self.snap.regions;
+            if !rows.is_sorted_by(|a, b| canonical_order(a, b).is_le()) {
+                rows.sort_unstable_by(canonical_order);
+                for (i, r) in rows.iter().enumerate() {
+                    self.index.insert(r.id, i);
+                }
+            }
         }
     }
 
-    /// Event deltas per record.
-    pub fn counters(&self) -> usize {
-        self.counters
+    /// A settled copy of the rows, leaving the view itself untouched.
+    pub(crate) fn settled_rows(&self, regions: &Regions) -> Vec<RegionSnapshot> {
+        let mut rows = self.snap.regions.clone();
+        for &id in &self.unnamed {
+            if let Some(name) = defined(regions, id) {
+                rows[self.index[&id]].name = name.to_string();
+            }
+        }
+        if self.dirty {
+            rows.sort_unstable_by(canonical_order);
+        }
+        rows
     }
+}
 
-    /// Total records folded across all regions.
-    pub fn total_count(&self) -> u64 {
-        self.regions.values().map(|s| s.count).sum()
-    }
-
-    /// A region's stats, if any records mentioned it.
-    pub fn region(&self, id: u64) -> Option<&RegionStats> {
-        self.regions.get(&id)
-    }
-
-    /// Iterates `(region_id, stats)` in unspecified order.
-    pub fn iter(&self) -> impl Iterator<Item = (u64, &RegionStats)> {
-        self.regions.iter().map(|(&id, s)| (id, s))
-    }
-
-    /// Number of distinct regions seen.
-    pub fn len(&self) -> usize {
-        self.regions.len()
-    }
-
-    /// Whether no records have been folded.
-    pub fn is_empty(&self) -> bool {
-        self.regions.is_empty()
+/// The name `regions` defines for region `id`, if any (`Regions::name`
+/// reads `?` for an undefined id).
+fn defined(regions: &Regions, id: u64) -> Option<&str> {
+    match regions.name(id) {
+        "?" => None,
+        name => Some(name),
     }
 }
 
@@ -192,30 +197,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fold_accumulates_counts_and_distributions() {
-        let mut s = AggShard::new(2);
-        s.fold(7, &[10, 100]);
-        s.fold(7, &[30, 300]);
-        s.fold(9, &[5, 50]);
-        assert_eq!(s.len(), 2);
-        assert_eq!(s.total_count(), 3);
-        let r7 = s.region(7).unwrap();
-        assert_eq!(r7.count, 2);
-        assert_eq!(r7.event_sum(0), 40);
-        assert_eq!(r7.event_sum(1), 400);
-        assert_eq!(r7.events[0].min(), Some(10));
-        assert_eq!(r7.events[0].max(), Some(30));
-        assert!(s.region(8).is_none());
-    }
-
-    #[test]
     fn fold_io_tracks_slow_calls_separately_from_exits() {
-        let mut s = AggShard::new(1);
-        s.fold(3, &[100]);
-        s.fold_io(3, 2, SLOW_IO_CYCLES + 1);
-        s.fold_io(3, 2, 10);
-        s.fold_io(3, 0, 20);
-        let r = s.region(3).unwrap();
+        let mut v = View::new(1);
+        v.fold(3, &[100]);
+        v.fold_io(3, 2, SLOW_IO_CYCLES + 1);
+        v.fold_io(3, 2, 10);
+        v.fold_io(3, 0, 20);
+        let r = &v.snap.regions[0];
         assert_eq!(r.count, 1, "io records do not bump the exit count");
         assert_eq!(r.io.len(), 2);
         assert_eq!(r.io[0].device, 0);
@@ -224,42 +212,5 @@ mod tests {
         assert_eq!(r.io[1].wait_sum(), SLOW_IO_CYCLES + 11);
         assert_eq!(r.io[1].slow_calls, 1);
         assert_eq!(r.io[0].slow_calls, 0);
-    }
-
-    #[test]
-    fn merge_combines_io_stats_by_device() {
-        let mut a = AggShard::new(1);
-        a.fold_io(5, 1, 40);
-        let mut b = AggShard::new(1);
-        b.fold_io(5, 1, 60);
-        b.fold_io(5, 0, 10);
-        a.merge(&b);
-        let r = a.region(5).unwrap();
-        assert_eq!(r.io.len(), 2);
-        assert_eq!(r.io[0].device, 0);
-        assert_eq!(r.io[1].wait_sum(), 100);
-        assert_eq!(r.io[1].calls(), 2);
-    }
-
-    #[test]
-    fn merge_equals_sequential_fold() {
-        let records = [(1u64, [4u64, 9u64]), (2, [8, 2]), (1, [16, 5])];
-        let mut whole = AggShard::new(2);
-        let mut a = AggShard::new(2);
-        let mut b = AggShard::new(2);
-        for (i, (region, deltas)) in records.iter().enumerate() {
-            whole.fold(*region, deltas);
-            if i % 2 == 0 {
-                a.fold(*region, deltas);
-            } else {
-                b.fold(*region, deltas);
-            }
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, whole);
-        assert_eq!(ba, whole);
     }
 }

@@ -1,5 +1,5 @@
-//! The host-side collector: drains per-thread SPSC rings into aggregation
-//! shards.
+//! The host-side collector: drains per-thread SPSC rings into one merged
+//! view.
 //!
 //! The collector runs from the kernel's periodic drain hook, between guest
 //! instructions — so within one drain every ring is quiescent and reads
@@ -7,8 +7,8 @@
 //! the advanced tail back into the producer's TLS (the word the producer's
 //! full check reads), like a DMA engine completing a descriptor.
 
-use crate::aggregate::AggShard;
-use crate::snapshot::{RegionSnapshot, Snapshot};
+use crate::aggregate::View;
+use crate::snapshot::Snapshot;
 use limit::harness::RingHandle;
 use limit::report::Regions;
 use limit::tls;
@@ -28,26 +28,26 @@ struct RingState {
     dropped: u64,
 }
 
-/// Drains registered rings into `stripes` aggregation shards (a ring's
-/// shard is `tid % stripes`, so one producer always lands in one shard and
-/// shard merging happens only at snapshot time).
+/// Drains registered rings into one merged view. Each record folds into
+/// its region's row as it is drained, so a drain costs O(records drained);
+/// a publish re-sorts the rows only when a record was folded since the
+/// last one.
 #[derive(Debug)]
 pub struct Collector {
-    shards: Vec<AggShard>,
+    view: View,
     rings: Vec<RingState>,
-    counters: usize,
     drained: u64,
     overwritten: u64,
 }
 
 impl Collector {
-    /// A collector with `stripes` shards for records of `counters` deltas.
+    /// A collector for records of `counters` deltas. `stripes` only sizes
+    /// the ring table: the expected number of rings (one per producer
+    /// thread).
     pub fn new(stripes: usize, counters: usize) -> Self {
-        assert!(stripes > 0, "at least one aggregation stripe");
         Collector {
-            shards: vec![AggShard::new(counters); stripes],
-            rings: Vec::new(),
-            counters,
+            view: View::new(counters),
+            rings: Vec::with_capacity(stripes),
             drained: 0,
             overwritten: 0,
         }
@@ -56,7 +56,7 @@ impl Collector {
     /// Registers one ring for draining.
     pub fn register(&mut self, handle: RingHandle) {
         assert_eq!(
-            handle.counters, self.counters,
+            handle.counters, self.view.counters,
             "ring delta count must match the collector's"
         );
         self.rings.push(RingState {
@@ -74,7 +74,7 @@ impl Collector {
         }
     }
 
-    /// Drains every registered ring into its shard. Returns the number of
+    /// Drains every registered ring into the view. Returns the number of
     /// records consumed.
     pub fn drain(&mut self, machine: &mut Machine) -> SimResult<u64> {
         self.drain_with(machine, |_, _, _| {})
@@ -87,7 +87,7 @@ impl Collector {
     where
         F: FnMut(ThreadId, u64, &[u64]),
     {
-        let nstripes = self.shards.len();
+        let view = &mut self.view;
         let mut total = 0u64;
         let mut overwritten = 0u64;
         let mut deltas = [0u64; tls::MAX_COUNTERS];
@@ -107,7 +107,6 @@ impl Collector {
                 tail += over;
             }
             let slot_size = tls::ring_slot_size(h.counters);
-            let shard = &mut self.shards[h.tid.index() % nstripes];
             while tail < head {
                 let addr = h.ring_base + (tail & (h.capacity - 1)) * slot_size;
                 let region = mem.read_u64(addr)?;
@@ -118,8 +117,8 @@ impl Collector {
                 // delta 0 carries the wait cycles. They fold into the
                 // region's per-device I/O stats, not its exit stats.
                 match decode_io_region(region) {
-                    Some((rid, device)) => shard.fold_io(rid, device, deltas[0]),
-                    None => shard.fold(region, &deltas[..h.counters]),
+                    Some((rid, device)) => view.fold_io(rid, device, deltas[0]),
+                    None => view.fold(region, &deltas[..h.counters]),
                 }
                 visit(h.tid, region, &deltas[..h.counters]);
                 tail += 1;
@@ -132,20 +131,6 @@ impl Collector {
         self.drained += total;
         self.overwritten += overwritten;
         Ok(total)
-    }
-
-    /// Merges all shards into one view (allocates; not the hot path).
-    pub fn merged(&self) -> AggShard {
-        let mut out = AggShard::new(self.counters);
-        for s in &self.shards {
-            out.merge(s);
-        }
-        out
-    }
-
-    /// The per-stripe shards.
-    pub fn shards(&self) -> &[AggShard] {
-        &self.shards
     }
 
     /// Records consumed across all drains.
@@ -169,28 +154,28 @@ impl Collector {
         self.overwritten
     }
 
-    /// A point-in-time view: merged shards plus transport accounting,
-    /// region ids resolved against `regions`.
+    /// The collector's own view, brought up to date and stamped with
+    /// `seq`, `cycle` and the transport counters, region ids resolved
+    /// against `regions`. Lent, not copied: this is the per-tick serving
+    /// path. Costs what changed since the last publish: the rows are
+    /// re-sorted only if a record was folded, and only regions still
+    /// unnamed are looked up.
+    pub fn publish(&mut self, seq: u64, cycle: u64, regions: &Regions) -> &Snapshot {
+        self.view.settle(regions);
+        let (appended, dropped) = (self.appended(), self.dropped());
+        let snap = &mut self.view.snap;
+        snap.seq = seq;
+        snap.cycle = cycle;
+        snap.appended = appended;
+        snap.drained = self.drained;
+        snap.dropped = dropped;
+        snap.overwritten = self.overwritten;
+        snap
+    }
+
+    /// An owned copy of what [`Collector::publish`] would return, leaving
+    /// the collector untouched.
     pub fn snapshot(&self, seq: u64, cycle: u64, regions: &Regions) -> Snapshot {
-        let merged = self.merged();
-        let mut rows: Vec<RegionSnapshot> = merged
-            .iter()
-            .map(|(id, stats)| RegionSnapshot {
-                id,
-                name: {
-                    let n = regions.name(id);
-                    if n == "?" {
-                        format!("#{id}")
-                    } else {
-                        n.to_string()
-                    }
-                },
-                count: stats.count,
-                events: stats.events.clone(),
-                io: stats.io.clone(),
-            })
-            .collect();
-        rows.sort_by(|a, b| b.event_sum(0).cmp(&a.event_sum(0)).then(a.id.cmp(&b.id)));
         Snapshot {
             seq,
             cycle,
@@ -198,7 +183,7 @@ impl Collector {
             drained: self.drained,
             dropped: self.dropped(),
             overwritten: self.overwritten,
-            regions: rows,
+            regions: self.view.settled_rows(regions),
         }
     }
 }

@@ -13,15 +13,20 @@
 //!   [`Collector`] drains them *mid-run* from the kernel's periodic drain
 //!   hook ([`sim_os::Kernel::run_with_hook`]), writing the consumer index
 //!   back into guest TLS like a DMA engine.
-//! * **Aggregation** — drained records fold into sharded online
-//!   aggregators ([`AggShard`], one per collector stripe): per-region
-//!   count plus a log₂-bucketed [`sim_core::Histogram`] per event kind,
-//!   O(1) per record with no per-record allocation. Shards merge on
-//!   demand; merging is associative and commutative.
-//! * **Serving** — [`Snapshot`]s taken at every drain tick expose the
-//!   merged view (plus transport accounting: appended / drained / dropped
-//!   / overwritten) to renderers, the NDJSON writer in the CLI, and the
+//! * **Aggregation** — the collector keeps one incremental view: each
+//!   drained record folds straight into its region's row (exit count plus
+//!   a log₂-bucketed [`sim_core::Histogram`] per event kind, and
+//!   per-device [`IoStat`]s), O(1) per record with no per-record
+//!   allocation. A drain tick costs O(records drained), not O(threads ×
+//!   regions).
+//! * **Serving** — at every drain tick [`Collector::publish`] brings the
+//!   view up to date (re-sorting its rows only if a record was folded,
+//!   naming only rows still unnamed), stamps the transport accounting
+//!   (appended / drained / dropped / overwritten) and lends it as a
+//!   [`Snapshot`] to renderers, the NDJSON writer in the CLI, and the
 //!   online bottleneck detectors in `analysis::online`.
+//!   [`Collector::snapshot`] is the owned copy; fleet instances and
+//!   what-if arms take exactly one, at the end ([`run_collected`]).
 //!
 //! [`run_streaming`] ties the pieces together for a whole session.
 
@@ -30,7 +35,7 @@ pub mod collector;
 pub mod runner;
 pub mod snapshot;
 
-pub use aggregate::{AggShard, IoStat, RegionStats};
+pub use aggregate::IoStat;
 pub use collector::Collector;
 pub use runner::{run_collected, run_streaming, run_streaming_until, CollectedRun};
 pub use snapshot::{RegionSnapshot, Snapshot};

@@ -2,14 +2,17 @@
 //!
 //! [`run_streaming`] runs the session under the kernel's periodic drain
 //! hook: every `every` cycles the collector drains all rings and the
-//! caller's callback receives a fresh [`Snapshot`]. After the run a final
-//! drain sweeps records still in flight and emits one last snapshot, so
+//! caller's callback is lent the collector's freshly published
+//! [`Snapshot`]. After the run a final drain sweeps records still in
+//! flight and publishes one last snapshot, so
 //! `appended == drained + dropped + overwritten` at the end.
-//! [`run_collected`] wraps it for callers that only want the final
-//! snapshot, such as fleet instances and what-if arms.
+//! [`run_collected`] drains on the same ticks but publishes nothing until
+//! the end, for callers that only want the final snapshot, such as fleet
+//! instances and what-if arms.
 
 use crate::collector::Collector;
 use crate::snapshot::Snapshot;
+use limit::report::Regions;
 use limit::{Session, WarnSink};
 use sim_core::{SimResult, ThreadId};
 use sim_os::RunReport;
@@ -25,9 +28,10 @@ pub struct CollectedRun {
     pub warnings: Vec<String>,
 }
 
-/// Runs the session to completion under [`run_streaming`] with a fresh
-/// collector sized for `threads` guest threads, keeping only the final
-/// snapshot. Teardown warnings are captured rather than printed, so
+/// Runs the session to completion like [`run_streaming`] with a fresh
+/// collector sized for `threads` guest threads, taking one snapshot: the
+/// final one. The rings still drain on every tick, so they cannot
+/// overflow. Teardown warnings are captured rather than printed, so
 /// sessions running side by side never interleave them on stderr.
 pub fn run_collected(session: &mut Session, threads: usize, every: u64) -> SimResult<CollectedRun> {
     let warnings = Arc::new(Mutex::new(Vec::new()));
@@ -40,12 +44,12 @@ pub fn run_collected(session: &mut Session, threads: usize, every: u64) -> SimRe
 
     let mut collector = Collector::new(threads.max(1), session.events().len());
     collector.attach(session);
-    let mut last: Option<Snapshot> = None;
-    let report = run_streaming(session, &mut collector, every, |snap| {
-        last = Some(snap.clone());
+    let mut last = (0, 0);
+    let report = run_ticks(session, &mut collector, every, None, |_, seq, cycle, _| {
+        last = (seq, cycle);
     })?;
 
-    let snapshot = last.expect("run_streaming always publishes a final snapshot");
+    let snapshot = collector.snapshot(last.0, last.1, &session.regions);
     let warnings = std::mem::take(
         &mut *warnings
             .lock()
@@ -59,18 +63,20 @@ pub fn run_collected(session: &mut Session, threads: usize, every: u64) -> SimRe
 }
 
 /// Runs the session to completion, draining every `every` cycles and
-/// passing each snapshot (including one final post-run snapshot) to
-/// `on_snapshot`.
+/// lending each published snapshot (including one final post-run
+/// snapshot) to `on_snapshot`.
 pub fn run_streaming<F>(
     session: &mut Session,
     collector: &mut Collector,
     every: u64,
-    on_snapshot: F,
+    mut on_snapshot: F,
 ) -> SimResult<RunReport>
 where
     F: FnMut(&Snapshot),
 {
-    run_streaming_inner(session, collector, every, None, on_snapshot)
+    run_ticks(session, collector, every, None, |c, seq, cycle, regions| {
+        on_snapshot(c.publish(seq, cycle, regions))
+    })
 }
 
 /// [`run_streaming`], stopping when `tid` exits (background threads may
@@ -80,23 +86,32 @@ pub fn run_streaming_until<F>(
     collector: &mut Collector,
     every: u64,
     tid: ThreadId,
-    on_snapshot: F,
-) -> SimResult<RunReport>
-where
-    F: FnMut(&Snapshot),
-{
-    run_streaming_inner(session, collector, every, Some(tid), on_snapshot)
-}
-
-fn run_streaming_inner<F>(
-    session: &mut Session,
-    collector: &mut Collector,
-    every: u64,
-    stop_on_exit: Option<ThreadId>,
     mut on_snapshot: F,
 ) -> SimResult<RunReport>
 where
     F: FnMut(&Snapshot),
+{
+    run_ticks(
+        session,
+        collector,
+        every,
+        Some(tid),
+        |c, seq, cycle, regions| on_snapshot(c.publish(seq, cycle, regions)),
+    )
+}
+
+/// The drain loop behind every runner: every `every` cycles, and once more
+/// after the run, drains the rings and calls `on_tick(collector, seq,
+/// cycle, regions)`.
+fn run_ticks<F>(
+    session: &mut Session,
+    collector: &mut Collector,
+    every: u64,
+    stop_on_exit: Option<ThreadId>,
+    mut on_tick: F,
+) -> SimResult<RunReport>
+where
+    F: FnMut(&mut Collector, u64, u64, &Regions),
 {
     let mut seq = 0u64;
     let mut result = {
@@ -105,7 +120,7 @@ where
             let records = collector.drain(m)?;
             seq += 1;
             flight_note_tick(m, now, records, seq);
-            on_snapshot(&collector.snapshot(seq, now, regions));
+            on_tick(collector, seq, now, regions);
             Ok(())
         };
         match stop_on_exit {
@@ -123,7 +138,7 @@ where
             seq += 1;
             let cycle = session.kernel.machine.global_clock();
             flight_note_tick(&mut session.kernel.machine, cycle, records, seq);
-            on_snapshot(&collector.snapshot(seq, cycle, &session.regions));
+            on_tick(collector, seq, cycle, &session.regions);
         }
         Err(drain_err) => {
             // Surface the run's error in preference to the drain's.

@@ -7,6 +7,7 @@
 
 use crate::aggregate::{merge_io_stats, IoStat};
 use sim_core::Histogram;
+use std::cmp::Ordering;
 
 /// One region's aggregated view inside a snapshot.
 #[derive(Debug, Clone, PartialEq)]
@@ -50,6 +51,12 @@ impl RegionSnapshot {
     pub fn io_slow_calls(&self) -> u64 {
         self.io.iter().map(|s| s.slow_calls).sum()
     }
+}
+
+/// The canonical row order of a snapshot: descending event-0 sum, then
+/// ascending id (ids are unique, so the order is total).
+pub(crate) fn canonical_order(a: &RegionSnapshot, b: &RegionSnapshot) -> Ordering {
+    b.event_sum(0).cmp(&a.event_sum(0)).then(a.id.cmp(&b.id))
 }
 
 /// A point-in-time view of the telemetry pipeline.
@@ -137,8 +144,7 @@ impl Snapshot {
                 None => self.regions.push(theirs.clone()),
             }
         }
-        self.regions
-            .sort_by(|a, b| b.event_sum(0).cmp(&a.event_sum(0)).then(a.id.cmp(&b.id)));
+        self.regions.sort_by(canonical_order);
     }
 
     /// An empty snapshot — the identity element of [`Snapshot::merge`].

@@ -246,4 +246,24 @@ mod tests {
             }
         }
     }
+
+    /// `analysis::online::classify` reads a region's cycle share from its
+    /// own row; that equals a share looked up by name only while no two
+    /// regions of a session share a name.
+    #[test]
+    fn every_session_names_its_regions_uniquely() {
+        let events = [EventKind::Cycles];
+        let reader = LimitReader::with_events(events.to_vec());
+        for name in Workload::ALL {
+            let mode = LogMode::Stream(StreamConfig::dropping(64));
+            let (w, _) = Workload::parse(name).unwrap().shape(2, 2, None, mode);
+            let session = w.build(&reader, SessionBuilder::new(2), &events).unwrap();
+            let mut names: Vec<&str> = session.regions.iter().map(|(_, n)| n).collect();
+            assert!(!names.is_empty(), "{name} defines no regions");
+            names.sort_unstable();
+            let before = names.len();
+            names.dedup();
+            assert_eq!(names.len(), before, "{name} repeats a region name");
+        }
+    }
 }
