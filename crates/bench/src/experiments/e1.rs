@@ -5,6 +5,7 @@ use analysis::Table;
 use baselines::{PapiReader, PerfReader, RdtscReader, SeqlockReader};
 use limit::{CounterReader, LimitReader};
 use sim_core::{Freq, SimResult};
+use std::fmt::Write as _;
 use workloads::microbench;
 
 /// One row of the read-cost table.
@@ -43,7 +44,7 @@ pub fn run(reads: u64) -> SimResult<Vec<E1Row>> {
 
 /// Renders the paper-style table. The `speedup` column is relative to the
 /// LiMiT row.
-pub fn table(rows: &[E1Row]) -> Table {
+fn table(rows: &[E1Row]) -> Table {
     let limit_ns = rows
         .iter()
         .find(|r| r.method == "limit")
@@ -102,7 +103,7 @@ pub fn run_multi(reads: u64) -> SimResult<Vec<E1MultiRow>> {
 }
 
 /// Renders the scaling table (methods as columns).
-pub fn multi_table(rows: &[E1MultiRow]) -> Table {
+fn multi_table(rows: &[E1MultiRow]) -> Table {
     let mut t = Table::new(
         "E1b: cycles per measurement vs counters read",
         &["counters", "limit", "seqlock", "perf"],
@@ -117,4 +118,24 @@ pub fn multi_table(rows: &[E1MultiRow]) -> Table {
         t.row(&[k.to_string(), cell("limit"), cell("seqlock"), cell("perf")]);
     }
     t
+}
+
+/// `run e1`: the read-cost table, the multi-counter scaling table and the
+/// headline LiMiT-vs-perf ratio.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let rows = run(5_000).map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", table(&rows));
+    let multi = run_multi(2_000).map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", multi_table(&multi));
+    if let (Some(limit), Some(perf)) = (row(&rows, "limit"), row(&rows, "perf")) {
+        let _ = writeln!(
+            w,
+            "LiMiT: {:.1} ns/read; perf syscall: {:.1} ns/read ({:.0}x slower).",
+            limit.nanos,
+            perf.nanos,
+            perf.nanos / limit.nanos
+        );
+    }
+    Ok(w)
 }

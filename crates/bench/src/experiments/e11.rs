@@ -16,6 +16,7 @@ use limit::LimitReader;
 use sim_core::SimResult;
 use sim_cpu::{Asm, EventKind, MemLayout};
 use sim_os::KernelConfig;
+use std::fmt::Write as _;
 use workloads::firefox::{FirefoxConfig, TASK_CLASSES};
 use workloads::{apache, firefox};
 
@@ -146,7 +147,7 @@ pub fn run(cores: usize) -> SimResult<Vec<E11Row>> {
 }
 
 /// Renders the interference table.
-pub fn table(rows: &[E11Row]) -> Table {
+fn table(rows: &[E11Row]) -> Table {
     let mut t = Table::new(
         "E11: co-location interference per firefox task class (alone vs + apache)",
         &[
@@ -176,4 +177,26 @@ pub fn table(rows: &[E11Row]) -> Table {
 /// Fetches a class row.
 pub fn row<'a>(rows: &'a [E11Row], class: &str) -> Option<&'a E11Row> {
     rows.iter().find(|r| r.class == class)
+}
+
+/// `run e11`: the interference table and the worst-hit class.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let rows = run(8).map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", table(&rows));
+    if let Some(worst) = rows
+        .iter()
+        .filter(|r| r.count > 0)
+        .max_by(|a, b| a.slowdown().total_cmp(&b.slowdown()))
+    {
+        let _ = writeln!(
+            w,
+            "Worst-hit class: `{}` at {:.2}x (LLC misses {:.1} -> {:.1} per task).",
+            worst.class,
+            worst.slowdown(),
+            worst.alone_llc,
+            worst.coloc_llc
+        );
+    }
+    Ok(w)
 }

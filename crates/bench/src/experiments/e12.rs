@@ -12,6 +12,7 @@ use limit::LimitReader;
 use sim_core::SimResult;
 use sim_cpu::EventKind;
 use sim_os::KernelConfig;
+use std::fmt::Write as _;
 use workloads::memcached::{self, MemcachedConfig};
 
 /// One stripe-count row.
@@ -64,7 +65,7 @@ pub fn run(stripe_counts: &[u64], cores: usize) -> SimResult<Vec<E12Row>> {
 }
 
 /// Renders the sweep table.
-pub fn table(rows: &[E12Row]) -> Table {
+fn table(rows: &[E12Row]) -> Table {
     let mut t = Table::new(
         "E12: lock-striping what-if (memcached-like store, 16 workers, 8 cores)",
         &[
@@ -87,4 +88,28 @@ pub fn table(rows: &[E12Row]) -> Table {
         ]);
     }
     t
+}
+
+/// `run e12`: the stripe sweep and the answer to the what-if question.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let rows = run(&[1, 2, 4, 16, 64, 256], 8).map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", table(&rows));
+    if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
+        let _ = writeln!(
+            w,
+            "Answer: striping from {} to {} locks lifts throughput {:.1}x and cuts the",
+            first.stripes,
+            last.stripes,
+            last.ops_per_mcycle / first.ops_per_mcycle
+        );
+        let _ = writeln!(
+            w,
+            "sync share from {:.0}% to {:.0}% — measured with ~35-cycle probes on every \
+             acquire.",
+            first.sync_share * 100.0,
+            last.sync_share * 100.0
+        );
+    }
+    Ok(w)
 }

@@ -15,6 +15,7 @@ use limit::{CounterReader, LimitReader, LogMode, NullReader, StreamConfig};
 use sim_core::SimResult;
 use sim_cpu::EventKind;
 use sim_os::KernelConfig;
+use std::fmt::Write as _;
 use telemetry::Collector;
 use workloads::mysqld::{self, MysqlConfig};
 
@@ -158,7 +159,7 @@ pub fn run(thread_counts: &[usize], queries: u64, cores: usize) -> SimResult<Vec
 }
 
 /// Renders the comparison.
-pub fn table(rows: &[E13Row]) -> Table {
+fn table(rows: &[E13Row]) -> Table {
     let mut t = Table::new(
         "E13: live-telemetry streaming overhead vs log / aggregate (mysqld)",
         &[
@@ -192,7 +193,7 @@ pub fn table(rows: &[E13Row]) -> Table {
 }
 
 /// Fetches the overhead fraction for `(threads, method)`.
-pub fn overhead_of(rows: &[E13Row], threads: usize, method: &str) -> Option<f64> {
+fn overhead_of(rows: &[E13Row], threads: usize, method: &str) -> Option<f64> {
     rows.iter()
         .find(|r| r.threads == threads && r.row.method == method)
         .map(|r| r.row.overhead())
@@ -205,4 +206,19 @@ pub fn stream_vs_aggregate(rows: &[E13Row], threads: usize) -> Option<f64> {
     let s = overhead_of(rows, threads, "stream")?;
     let a = overhead_of(rows, threads, "aggregate")?;
     Some(s / a.max(1e-9))
+}
+
+/// `run e13`: the overhead comparison and the stream-vs-aggregate ratio
+/// at 8 threads.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let rows = run(&[1, 2, 4, 8], 120, 8).map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", table(&rows));
+    if let Some(ratio) = stream_vs_aggregate(&rows, 8) {
+        let _ = writeln!(
+            w,
+            "stream overhead is {ratio:.2}x aggregate overhead at 8 threads"
+        );
+    }
+    Ok(w)
 }

@@ -20,6 +20,7 @@
 use crate::spans;
 use analysis::Table;
 use sim_core::SimResult;
+use std::fmt::Write as _;
 use torture::{render_repro, run_arm, shrink, TortureConfig};
 
 /// Outcome of one torture arm.
@@ -84,7 +85,7 @@ fn run_one(arm: &'static str, fixup: bool, spill: bool, schedules: u64) -> SimRe
 }
 
 /// Runs all three arms with `schedules` schedules each.
-pub fn run(schedules: u64) -> SimResult<Vec<E14Result>> {
+fn run(schedules: u64) -> SimResult<Vec<E14Result>> {
     Ok(vec![
         run_one("fixup-on", true, false, schedules)?,
         run_one("fixup-off", false, false, schedules)?,
@@ -93,7 +94,7 @@ pub fn run(schedules: u64) -> SimResult<Vec<E14Result>> {
 }
 
 /// Renders the deterministic arm table (no wall-clock columns).
-pub fn table(rows: &[E14Result]) -> Table {
+fn table(rows: &[E14Result]) -> Table {
     let mut t = Table::new(
         "E14: virtualization torture sweep (exhaustive injection + differential oracle)",
         &[
@@ -120,4 +121,35 @@ pub fn table(rows: &[E14Result]) -> Table {
         ]);
     }
     t
+}
+
+/// `run e14`: the arm table, the shrunk fixup-off repro and one line per
+/// arm. Per-arm wall time and schedules/sec land in the span registry
+/// ([`crate::spans`]), not in the text.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let rows = run(300).map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", table(&rows));
+    let (on, off, spill) = (&rows[0], &rows[1], &rows[2]);
+    if let Some(repro) = &off.repro {
+        let _ = writeln!(w, "shrunk fixup-off repro:\n{repro}");
+    }
+    let _ = writeln!(
+        w,
+        "Fix-up on: {} wrong reads across {} checked reads and {} injected disturbances.",
+        on.divergences, on.checks, on.fired
+    );
+    let _ = writeln!(
+        w,
+        "Fix-up off: {} of {} schedules diverged ({:.1}/1k) — the E4 race, found by \
+         enumeration.",
+        off.divergent_schedules, off.schedules, off.divergent_per_1k
+    );
+    let _ = writeln!(
+        w,
+        "Spill arm: {:.1}/1k schedules diverge with the fix-up on under forced \
+         mid-sequence hardware spills.",
+        spill.divergent_per_1k
+    );
+    Ok(w)
 }

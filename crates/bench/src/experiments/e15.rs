@@ -22,6 +22,7 @@
 use crate::spans;
 use analysis::{classify_fleet, FleetFindingKind, Table};
 use fleet::{draw_arrivals, run_fleet, simulate_queue, FleetConfig};
+use std::fmt::Write as _;
 
 /// One operating point of the sweep.
 #[derive(Debug, Clone)]
@@ -64,7 +65,7 @@ pub struct E15Result {
 
 /// Simulates one fleet, then replays the admission queue at each capacity
 /// fraction in `fracs`.
-pub fn run(instances: usize, fracs: &[f64], jobs: usize) -> Result<E15Result, String> {
+fn run(instances: usize, fracs: &[f64], jobs: usize) -> Result<E15Result, String> {
     let base = FleetConfig {
         instances,
         threads: 2,
@@ -136,7 +137,7 @@ pub fn run(instances: usize, fracs: &[f64], jobs: usize) -> Result<E15Result, St
 }
 
 /// Renders the sweep table.
-pub fn table(r: &E15Result) -> Table {
+fn table(r: &E15Result) -> Table {
     let mut t = Table::new(
         "E15: fleet saturation sweep (open-loop arrival rate vs sojourn latency)",
         &[
@@ -165,6 +166,40 @@ pub fn table(r: &E15Result) -> Table {
         ]);
     }
     t
+}
+
+/// `run e15`: the 32-instance sweep, the knee, the fleet-wide bottleneck
+/// and the node's capacity.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let fracs = [0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0];
+    let r = run(32, &fracs, 2)?;
+    let _ = writeln!(w, "{}", table(&r));
+    match r.knee {
+        Some(k) => {
+            let _ = writeln!(
+                w,
+                "saturation knee at {k:.2} arrivals/Mcycle ({:.2}x of node capacity \
+                 {:.2}/Mcycle)",
+                k / r.capacity_rate,
+                r.capacity_rate
+            );
+        }
+        None => {
+            let _ = writeln!(w, "no knee inside the swept range");
+        }
+    }
+    if let Some(pop) = &r.top_population {
+        let _ = writeln!(w, "fleet-wide bottleneck: {pop}");
+    }
+    let _ = writeln!(
+        w,
+        "Node capacity: {:.2} sessions/Mcycle ({} slots, mean service {:.0} kcycles).",
+        r.capacity_rate,
+        FleetConfig::default().slots,
+        r.mean_service / 1e3
+    );
+    Ok(w)
 }
 
 #[cfg(test)]

@@ -27,12 +27,13 @@
 //!
 //! The engine's report is deterministic (byte-identical across
 //! `--jobs`), so the verdicts are a CI gate, not a flaky heuristic:
-//! `run` returns `Err` context through `main` if any check fails. Host
-//! wall times per arm land in `bench::spans` for `run-summary.json`.
+//! [`render`] returns `Err` if any check fails. Host wall times per arm
+//! land in `bench::spans` for `run-summary.json`.
 
 use crate::spans;
 use analysis::table::fmt_count;
 use analysis::{KnobClass, Table};
+use std::fmt::Write as _;
 use whatif::{run_whatif, MachineParams, WhatifConfig, WhatifReport};
 use workloads::memcached::MemcachedConfig;
 use workloads::Workload;
@@ -109,7 +110,7 @@ pub fn lock_config(queries: u64, jobs: usize) -> WhatifConfig {
 
 /// The memory-bound shape: 64 stripes kill lock contention and the full
 /// bucket table misses to DRAM.
-pub fn memory_config(queries: u64, jobs: usize) -> WhatifConfig {
+fn memory_config(queries: u64, jobs: usize) -> WhatifConfig {
     let mut cfg = WhatifConfig::new(Workload::Memcached(MemcachedConfig {
         stripes: 64,
         ..Default::default()
@@ -175,7 +176,7 @@ fn record_arm_spans(shape: &str, report: &WhatifReport) {
 }
 
 /// Runs both shapes and checks every region's causal verdict.
-pub fn run(queries: u64, jobs: usize) -> Result<E16Result, String> {
+fn run(queries: u64, jobs: usize) -> Result<E16Result, String> {
     let span = spans::start("e16/lock");
     let lock = run_whatif(&lock_config(queries, jobs), |_, _| {})?;
     span.finish();
@@ -200,7 +201,7 @@ pub fn run(queries: u64, jobs: usize) -> Result<E16Result, String> {
 }
 
 /// Renders the verdict table.
-pub fn table(r: &E16Result) -> String {
+fn table(r: &E16Result) -> String {
     let mut t = Table::new(
         "E16: causal what-if validation (impact = Δ region cycles per +100% knob)",
         &[
@@ -226,6 +227,27 @@ pub fn table(r: &E16Result) -> String {
         ]);
     }
     t.to_string()
+}
+
+/// `run e16`: the verdict table and every finding of both shapes. Fails
+/// if any verdict misses its planted bottleneck.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let r = run(480, 2)?;
+    let _ = writeln!(w, "{}", table(&r));
+    for (shape, report) in [("lock", &r.lock), ("memory", &r.memory)] {
+        for f in &report.findings {
+            let _ = writeln!(
+                w,
+                "{shape} finding: {}: {} — {}",
+                f.region, f.kind, f.detail
+            );
+        }
+    }
+    if !r.all_ok() {
+        return Err(format!("e16 causal verdicts failed:\n{}", table(&r)));
+    }
+    Ok(w)
 }
 
 #[cfg(test)]

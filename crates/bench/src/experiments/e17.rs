@@ -16,6 +16,7 @@ use crate::spans;
 use analysis::Table;
 use sim_core::SimResult;
 use sim_cpu::EventKind;
+use std::fmt::Write as _;
 use torture::matrix::{
     enumerate_cells, run_cell, AccessMethod, CellReport, Disturb, MatrixConfig, Verdict,
 };
@@ -32,7 +33,7 @@ pub const SLICE_EVENTS: [EventKind; 3] = [
 /// Runs the slice: [`SLICE_EVENTS`] × all methods × all disturbances,
 /// `schedules` seeded schedules per (cell, shape). Per-cell wall times
 /// land in the span registry as `trust/<event>/<method>`.
-pub fn run(schedules: u64) -> SimResult<Vec<CellReport>> {
+fn run(schedules: u64) -> SimResult<Vec<CellReport>> {
     let cfg = MatrixConfig {
         schedules,
         ..MatrixConfig::default()
@@ -53,7 +54,7 @@ pub fn run(schedules: u64) -> SimResult<Vec<CellReport>> {
 
 /// True when the slice holds the trust contract: every `rdpmc-fixup`
 /// cell exact, every `rdpmc-nofixup` cell unreliable under migrate/PMI.
-pub fn contract_holds(reports: &[CellReport]) -> bool {
+fn contract_holds(reports: &[CellReport]) -> bool {
     reports.iter().all(|r| match r.cell.method {
         AccessMethod::RdpmcFixup => r.verdict == Verdict::Exact,
         AccessMethod::RdpmcNoFixup if matches!(r.cell.disturb, Disturb::Migrate | Disturb::Pmi) => {
@@ -64,7 +65,7 @@ pub fn contract_holds(reports: &[CellReport]) -> bool {
 }
 
 /// Renders the deterministic verdict grid (no wall-clock columns).
-pub fn table(reports: &[CellReport]) -> Table {
+fn table(reports: &[CellReport]) -> Table {
     let mut t = Table::new(
         "E17: event-trust matrix (verdict per event x access method x disturbance)",
         &[
@@ -90,4 +91,17 @@ pub fn table(reports: &[CellReport]) -> Table {
         }
     }
     t
+}
+
+/// `run e17`: the verdict grid at 10 schedules per (cell, shape). Fails
+/// if the slice breaks the trust contract. Per-cell wall times land in
+/// the span registry as `trust/<event>/<method>`.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let rows = run(10).map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", table(&rows));
+    if !contract_holds(&rows) {
+        return Err(format!("e17 trust contract failed:\n{}", table(&rows)));
+    }
+    Ok(w)
 }

@@ -17,8 +17,8 @@
 //!   positive here means the detector's wait-share guard leaks.
 //!
 //! Both verdicts are deterministic (the device latency streams draw from
-//! dedicated `DetRng` streams), so like E16 this is a CI gate: `run`
-//! surfaces any failed check as an error through `main`.
+//! dedicated `DetRng` streams), so like E16 this is a CI gate: [`render`]
+//! surfaces any failed check as an error.
 
 use crate::spans;
 use analysis::online::{classify, DetectorConfig, Finding};
@@ -27,6 +27,7 @@ use analysis::Table;
 use limit::{LimitReader, LogMode, StreamConfig};
 use sim_cpu::EventKind;
 use sim_os::KernelConfig;
+use std::fmt::Write as _;
 use telemetry::{run_streaming, Collector, Snapshot};
 use whatif::{run_whatif, WhatifConfig, WhatifReport};
 use workloads::{logstore, mysqld, Workload};
@@ -122,7 +123,7 @@ fn mysqld_findings(queries: u64) -> Result<Vec<Finding>, String> {
 }
 
 /// Runs both shapes and checks the I/O observability contract.
-pub fn run(commits: u64, jobs: usize) -> Result<E18Result, String> {
+fn run(commits: u64, jobs: usize) -> Result<E18Result, String> {
     // Causal path: perturb every knob, expect fsync-latency on top for
     // the commit region.
     let mut wcfg = WhatifConfig::new(Workload::Logstore(logstore::LogstoreConfig::default()));
@@ -209,7 +210,7 @@ pub fn run(commits: u64, jobs: usize) -> Result<E18Result, String> {
 }
 
 /// Renders the verdict table.
-pub fn table(r: &E18Result) -> String {
+fn table(r: &E18Result) -> String {
     let mut t = Table::new(
         "E18: I/O-wait observability (classifier + what-if must name the device)",
         &["check", "observed", "expected", "ok"],
@@ -226,7 +227,7 @@ pub fn table(r: &E18Result) -> String {
 }
 
 /// Renders the measured per-region wait table from the logstore run.
-pub fn wait_table(r: &E18Result) -> String {
+fn wait_table(r: &E18Result) -> String {
     let mut t = Table::new(
         "E18: logstore per-region I/O accounting (final snapshot)",
         &["region", "exits", "cycles", "io wait", "io calls", "slow"],
@@ -242,6 +243,29 @@ pub fn wait_table(r: &E18Result) -> String {
         ]);
     }
     t.to_string()
+}
+
+/// `run e18`: the verdict table, the logstore wait table and the
+/// logstore findings. Fails if any check misses.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let r = run(24, 2)?;
+    let _ = writeln!(w, "{}", table(&r));
+    let _ = writeln!(w, "{}", wait_table(&r));
+    for f in &r.logstore_findings {
+        let _ = writeln!(
+            w,
+            "logstore finding: {}: {} — {}",
+            f.region, f.kind, f.detail
+        );
+    }
+    if !r.all_ok() {
+        return Err(format!(
+            "e18 I/O observability contract failed:\n{}",
+            table(&r)
+        ));
+    }
+    Ok(w)
 }
 
 #[cfg(test)]

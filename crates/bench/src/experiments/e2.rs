@@ -10,6 +10,7 @@ use limit::{CounterReader, LimitReader, NullReader};
 use sim_core::SimResult;
 use sim_cpu::EventKind;
 use sim_os::KernelConfig;
+use std::fmt::Write as _;
 use workloads::mysqld::{self, MysqlConfig};
 
 /// Events attached by every instrumented run.
@@ -104,7 +105,7 @@ pub fn run(thread_counts: &[usize], queries: u64, cores: usize) -> SimResult<Vec
 }
 
 /// Renders the overhead figure as a table.
-pub fn table(rows: &[E2Row]) -> Table {
+fn table(rows: &[E2Row]) -> Table {
     let mut t = Table::new(
         "E2: runtime overhead of full critical-section instrumentation (mysqld)",
         &[
@@ -137,4 +138,23 @@ pub fn overhead_of(rows: &[E2Row], threads: usize, method: &str) -> Option<f64> 
     rows.iter()
         .find(|r| r.threads == threads && r.row.method == method)
         .map(|r| r.row.overhead())
+}
+
+/// `run e2`: the overhead table and the 16-thread limit-vs-perf summary.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let rows = run(&[1, 4, 8, 16], 120, 8).map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", table(&rows));
+    if let (Some(l), Some(p)) = (
+        overhead_of(&rows, 16, "limit"),
+        overhead_of(&rows, 16, "perf"),
+    ) {
+        let _ = writeln!(
+            w,
+            "At 16 threads: limit adds {:.1}% runtime; perf adds {:.1}%.",
+            l * 100.0,
+            p * 100.0
+        );
+    }
+    Ok(w)
 }

@@ -12,6 +12,7 @@ use limit::{CounterReader, LimitReader};
 use sim_core::SimResult;
 use sim_cpu::{EventKind, MachineConfig, PmuConfig, Reg};
 use sim_os::KernelConfig;
+use std::fmt::Write as _;
 use workloads::kernels;
 
 /// One scenario's outcome.
@@ -137,7 +138,7 @@ pub fn wallclock_comparison() -> SimResult<(u64, u64)> {
 }
 
 /// Renders the scenario table.
-pub fn table(rows: &[E3Row]) -> Table {
+fn table(rows: &[E3Row]) -> Table {
     let mut t = Table::new(
         "E3: virtualized-count exactness (instructions, per thread)",
         &[
@@ -164,4 +165,14 @@ pub fn table(rows: &[E3Row]) -> Table {
         ]);
     }
     t
+}
+
+/// `run e3`: the exactness table and the virtualized-vs-rdtsc comparison.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let rows = run().map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", table(&rows));
+    let (virt, rdtsc) = wallclock_comparison().map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "virtualized: {virt} cycles; rdtsc: {rdtsc} cycles");
+    Ok(w)
 }

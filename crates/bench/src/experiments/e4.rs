@@ -16,6 +16,7 @@ use limit::{CounterReader, LimitReader};
 use sim_core::SimResult;
 use sim_cpu::{Cond, EventKind, MachineConfig, MemLayout, PmuConfig, Reg};
 use sim_os::KernelConfig;
+use std::fmt::Write as _;
 
 /// Outcome of one ablation arm.
 #[derive(Debug, Clone)]
@@ -39,20 +40,20 @@ pub struct E4Result {
 }
 
 /// Runs one arm of the ablation with the LiMiT read protocol.
-pub fn run(fixup: bool) -> SimResult<E4Result> {
+fn run(fixup: bool) -> SimResult<E4Result> {
     let reader = LimitReader::with_events(vec![EventKind::Instructions]);
     run_with(&reader, fixup)
 }
 
 /// Runs one arm with the seqlock read protocol (self-correcting, so the
 /// kernel fix-up is left off).
-pub fn run_seqlock() -> SimResult<E4Result> {
+fn run_seqlock() -> SimResult<E4Result> {
     let reader = SeqlockReader::with_events(vec![EventKind::Instructions]);
     run_with(&reader, false)
 }
 
 /// Runs one arm of the ablation under the given reader.
-pub fn run_with(reader: &dyn CounterReader, fixup: bool) -> SimResult<E4Result> {
+fn run_with(reader: &dyn CounterReader, fixup: bool) -> SimResult<E4Result> {
     const THREADS: usize = 4;
     const READS: u64 = 4_000;
     let events = [EventKind::Instructions];
@@ -122,12 +123,12 @@ pub fn run_both() -> SimResult<(E4Result, E4Result)> {
 }
 
 /// Runs all three arms: LiMiT fix-up on, off, and the seqlock protocol.
-pub fn run_all() -> SimResult<Vec<E4Result>> {
+fn run_all() -> SimResult<Vec<E4Result>> {
     Ok(vec![run(true)?, run(false)?, run_seqlock()?])
 }
 
 /// Renders the ablation table.
-pub fn table_of(rows: &[&E4Result]) -> Table {
+fn table(rows: &[E4Result]) -> Table {
     let mut t = Table::new(
         "E4: read-race ablation (preemption + overflow storm)",
         &[
@@ -156,7 +157,27 @@ pub fn table_of(rows: &[&E4Result]) -> Table {
     t
 }
 
-/// Renders the two-arm ablation table.
-pub fn table(on: &E4Result, off: &E4Result) -> Table {
-    table_of(&[on, off])
+/// `run e4`: the three-arm ablation table and what each arm shows.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let rows = run_all().map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", table(&rows));
+    let (on, off, seq) = (&rows[0], &rows[1], &rows[2]);
+    let _ = writeln!(
+        w,
+        "With the fix-up off, {} of {} reads were corrupted ({} races seen by the kernel).",
+        off.violations, off.reads, off.unfixed_races
+    );
+    let _ = writeln!(
+        w,
+        "With the fix-up on, {} corrupted reads across {} rewinds.",
+        on.violations, on.fixups
+    );
+    let _ = writeln!(
+        w,
+        "The seqlock protocol self-corrects in userspace: {} corrupted reads with no \
+         kernel fix-up.",
+        seq.violations
+    );
+    Ok(w)
 }

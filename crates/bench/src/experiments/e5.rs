@@ -12,6 +12,7 @@ use sim_core::SimResult;
 use sim_cpu::EventKind;
 use sim_os::KernelConfig;
 use std::collections::HashMap;
+use std::fmt::Write as _;
 use workloads::firefox::{self, FirefoxConfig, TASK_CLASSES};
 
 /// One sampling-period row.
@@ -77,7 +78,7 @@ pub fn run(cfg: &FirefoxConfig, periods: &[u64]) -> SimResult<Vec<E5Row>> {
 }
 
 /// Renders the period-sweep table.
-pub fn sweep_table(rows: &[E5Row]) -> Table {
+fn sweep_table(rows: &[E5Row]) -> Table {
     let mut t = Table::new(
         "E5: sampling attribution error vs period (firefox task mix)",
         &["period", "samples", "pmis", "mean |err|", "worst |err|"],
@@ -95,7 +96,7 @@ pub fn sweep_table(rows: &[E5Row]) -> Table {
 }
 
 /// Renders the per-class detail for one row.
-pub fn class_table(row: &E5Row) -> Table {
+fn class_table(row: &E5Row) -> Table {
     let mut t = Table::new(
         &format!("E5 detail: per-class attribution at period {}", row.period),
         &["class", "precise cycles", "sampled estimate", "rel. error"],
@@ -109,4 +110,15 @@ pub fn class_table(row: &E5Row) -> Table {
         ]);
     }
     t
+}
+
+/// `run e5`: the period sweep and the per-class detail at the middle
+/// period.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let rows =
+        run(&FirefoxConfig::default(), &[1_024, 8_192, 65_536]).map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", sweep_table(&rows));
+    let _ = writeln!(w, "{}", class_table(&rows[1]));
+    Ok(w)
 }

@@ -4,11 +4,12 @@
 //! sections are far shorter than either a sampling interval or a syscall-
 //! priced probe, so only a ~tens-of-ns read can measure them.
 
-use analysis::{LockReport, Table};
+use analysis::{BottleneckReport, LockReport, Table};
 use limit::LimitReader;
 use sim_core::SimResult;
 use sim_cpu::EventKind;
 use sim_os::KernelConfig;
+use std::fmt::Write as _;
 use workloads::mysqld::{self, MysqlConfig, MysqlRun};
 
 /// The E6 outputs: the lock report and the run it came from.
@@ -41,7 +42,7 @@ pub fn run(cfg: &MysqlConfig, cores: usize) -> SimResult<E6Result> {
 }
 
 /// Renders the summary table.
-pub fn table(result: &E6Result) -> Table {
+fn table(result: &E6Result) -> Table {
     let mut t = Table::new(
         "E6: critical-section lengths by lock class (cycles)",
         &["class", "sections", "mean", "p50~", "p99~", "<1k cycles"],
@@ -60,11 +61,57 @@ pub fn table(result: &E6Result) -> Table {
 }
 
 /// Renders the ASCII histograms per class.
-pub fn histograms(result: &E6Result) -> String {
+fn histograms(result: &E6Result) -> String {
     let mut out = String::new();
     for c in &result.report.classes {
         out.push_str(&format!("\nhold-time distribution: `{}`\n", c.name));
         out.push_str(&c.hold.render_ascii(40));
     }
     out
+}
+
+/// `run e6`: the 16-thread lock table, the hold-time histograms, the
+/// synchronization share and the ranked bottleneck.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let cfg = MysqlConfig {
+        threads: 16,
+        queries_per_thread: 150,
+        ..Default::default()
+    };
+    let result = run(&cfg, 8).map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", table(&result));
+    let _ = writeln!(w, "{}", histograms(&result));
+    let _ = writeln!(
+        w,
+        "Synchronization share of user cycles: {:.1}%",
+        result.report.sync_share() * 100.0
+    );
+    // The title operation: rank the instrumented regions and name the
+    // bottleneck.
+    let records = result
+        .run
+        .session
+        .all_records()
+        .map_err(|e| e.to_string())?;
+    let ranking = BottleneckReport::from_records(
+        &records,
+        &result.run.session.regions,
+        result.report.total_cycles,
+        0,
+    );
+    let _ = writeln!(
+        w,
+        "\n{}",
+        ranking.table("bottleneck ranking (share of user cycles)")
+    );
+    if let Some(top) = ranking.heaviest() {
+        let _ = writeln!(
+            w,
+            "identified bottleneck: `{}` ({:.1}% of cycles)",
+            top.name,
+            top.share * 100.0
+        );
+    }
+    Ok(w)
 }

@@ -9,6 +9,7 @@ use limit::LimitReader;
 use sim_core::SimResult;
 use sim_cpu::EventKind;
 use sim_os::KernelConfig;
+use std::fmt::Write as _;
 use workloads::mysqld::{self, MysqlConfig};
 
 /// One thread-count row.
@@ -84,7 +85,7 @@ pub fn run(thread_counts: &[usize], queries: u64, cores: usize) -> SimResult<Vec
 }
 
 /// Renders the sweep table.
-pub fn table(rows: &[E7Row]) -> Table {
+fn table(rows: &[E7Row]) -> Table {
     let mut t = Table::new(
         "E7: synchronization share vs thread count (mysqld, 8 cores)",
         &[
@@ -113,4 +114,23 @@ pub fn table(rows: &[E7Row]) -> Table {
         ]);
     }
     t
+}
+
+/// `run e7`: the thread-count sweep and how far the sync share grows.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let rows = run(&[1, 2, 4, 8, 16, 32], 100, 8).map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", table(&rows));
+    if let (Some(first), Some(last)) = (rows.first(), rows.last()) {
+        let _ = writeln!(
+            w,
+            "Total sync share (busy + blocked) grows from {:.1}% at {} thread(s) to \
+             {:.1}% at {} threads.",
+            first.combined_share * 100.0,
+            first.threads,
+            last.combined_share * 100.0,
+            last.threads
+        );
+    }
+    Ok(w)
 }

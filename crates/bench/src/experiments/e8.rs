@@ -72,7 +72,7 @@ pub fn run(cfg: &FirefoxConfig, cores: usize) -> SimResult<Vec<E8Row>> {
 }
 
 /// Renders the class table.
-pub fn table(rows: &[E8Row]) -> Table {
+fn table(rows: &[E8Row]) -> Table {
     let mut t = Table::new(
         "E8: firefox task classes (per-task means, LiMiT precise, 4 counters)",
         &["class", "tasks", "cycles", "IPC", "LLC MPKI", "br-miss PKI"],
@@ -93,4 +93,10 @@ pub fn table(rows: &[E8Row]) -> Table {
 /// Fetches a class row.
 pub fn row<'a>(rows: &'a [E8Row], class: &str) -> Option<&'a E8Row> {
     rows.iter().find(|r| r.class == class)
+}
+
+/// `run e8`: the task-class table.
+pub fn render() -> Result<String, String> {
+    let rows = run(&FirefoxConfig::default(), 4).map_err(|e| e.to_string())?;
+    Ok(format!("{}\n", table(&rows)))
 }

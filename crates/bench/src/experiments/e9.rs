@@ -5,6 +5,7 @@ use limit::LimitReader;
 use sim_core::SimResult;
 use sim_cpu::EventKind;
 use sim_os::KernelConfig;
+use std::fmt::Write as _;
 use workloads::apache::{self, ApacheConfig};
 
 /// Events per phase.
@@ -83,7 +84,7 @@ pub fn run(cfg: &ApacheConfig, cores: usize) -> SimResult<E9Result> {
 }
 
 /// Renders the phase table.
-pub fn table(result: &E9Result) -> Table {
+fn table(result: &E9Result) -> Table {
     let mut t = Table::new(
         "E9: apache per-request phase accounting (LiMiT precise)",
         &[
@@ -104,4 +105,22 @@ pub fn table(result: &E9Result) -> Table {
         ]);
     }
     t
+}
+
+/// `run e9`: the phase table and the handler's p50/p99 tail.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let result = run(&ApacheConfig::default(), 8).map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", table(&result));
+    let h = &result.handler_sorted;
+    if !h.is_empty() {
+        let p50 = h[h.len() / 2];
+        let p99 = h[(h.len() * 99 / 100).min(h.len() - 1)];
+        let _ = writeln!(
+            w,
+            "handler tail: p50 {} cycles / {} misses; p99 {} cycles / {} misses",
+            p50.0, p50.1, p99.0, p99.1
+        );
+    }
+    Ok(w)
 }

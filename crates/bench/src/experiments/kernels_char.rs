@@ -7,6 +7,7 @@ use analysis::Table;
 use sim_core::SimResult;
 use sim_cpu::{EventKind, MachineConfig};
 use sim_mem::{HierarchyConfig, TlbConfig};
+use std::fmt::Write as _;
 use workloads::suite::{self, KERNEL_NAMES};
 
 /// Full characterization of one kernel.
@@ -38,7 +39,7 @@ fn machine(prefetch: u32) -> MachineConfig {
 
 /// Profiles every kernel (two runs each to cover six events with four
 /// counters; runs are deterministic so the pairs compose exactly).
-pub fn run(iters: u64, ws_bytes: u64) -> SimResult<Vec<KernelRow>> {
+fn run(iters: u64, ws_bytes: u64) -> SimResult<Vec<KernelRow>> {
     let set_a = [
         EventKind::Cycles,
         EventKind::Instructions,
@@ -73,7 +74,7 @@ pub fn run(iters: u64, ws_bytes: u64) -> SimResult<Vec<KernelRow>> {
 
 /// The prefetcher ablation: L2-miss counts for the memory kernels at
 /// several prefetch depths. Returns `(kernel, depth, l2_misses)` rows.
-pub fn prefetch_ablation(iters: u64, ws_bytes: u64) -> SimResult<Vec<(&'static str, u32, u64)>> {
+fn prefetch_ablation(iters: u64, ws_bytes: u64) -> SimResult<Vec<(&'static str, u32, u64)>> {
     let events = [EventKind::L2Misses];
     let mut out = Vec::new();
     for &name in &["stream_copy", "stride_walk", "random_access"] {
@@ -86,7 +87,7 @@ pub fn prefetch_ablation(iters: u64, ws_bytes: u64) -> SimResult<Vec<(&'static s
 }
 
 /// Renders the characterization table.
-pub fn table(rows: &[KernelRow]) -> Table {
+fn table(rows: &[KernelRow]) -> Table {
     let mut t = Table::new(
         "suite characterization (solo, TLB on, prefetch off)",
         &[
@@ -114,7 +115,7 @@ pub fn table(rows: &[KernelRow]) -> Table {
 }
 
 /// Renders the prefetch ablation table.
-pub fn prefetch_table(rows: &[(&'static str, u32, u64)]) -> Table {
+fn prefetch_table(rows: &[(&'static str, u32, u64)]) -> Table {
     let mut t = Table::new(
         "L2 next-line prefetcher ablation (L2 misses)",
         &["kernel", "depth", "l2 misses"],
@@ -129,7 +130,12 @@ pub fn prefetch_table(rows: &[(&'static str, u32, u64)]) -> Table {
     t
 }
 
-/// Fetches a kernel row.
-pub fn row<'a>(rows: &'a [KernelRow], name: &str) -> Option<&'a KernelRow> {
-    rows.iter().find(|r| r.name == name)
+/// `run kernels`: the suite characterization and the prefetcher ablation.
+pub fn render() -> Result<String, String> {
+    let mut w = String::new();
+    let rows = run(20_000, 1 << 20).map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", table(&rows));
+    let ab = prefetch_ablation(20_000, 1 << 20).map_err(|e| e.to_string())?;
+    let _ = writeln!(w, "{}", prefetch_table(&ab));
+    Ok(w)
 }

@@ -7,6 +7,7 @@
 //! them into host-track slices of the Chrome timeline. Spans measure the
 //! *host*, so they never appear in deterministic experiment tables.
 
+use sim_core::json::Json;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -92,6 +93,26 @@ pub fn record(name: impl Into<String>, wall_ms: f64, meta: &[(&str, f64)]) {
 /// Removes and returns every span recorded so far, in finish order.
 pub fn drain() -> Vec<SpanRecord> {
     std::mem::take(&mut *REGISTRY.lock().unwrap())
+}
+
+/// Drains the registry into the `timings` array of a run summary: one
+/// `{name, start_ms, wall_ms, ...meta}` object per span.
+pub fn drain_json() -> Json {
+    Json::Array(
+        drain()
+            .into_iter()
+            .map(|s| {
+                let mut o = Json::object()
+                    .set("name", s.name)
+                    .set("start_ms", s.start_ms)
+                    .set("wall_ms", s.wall_ms);
+                for (key, value) in &s.meta {
+                    o = o.set(key.as_str(), *value);
+                }
+                o
+            })
+            .collect(),
+    )
 }
 
 #[cfg(test)]

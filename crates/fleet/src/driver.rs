@@ -24,7 +24,7 @@
 //! the report keeps them per instance and [`FleetReport::worst_offender`]
 //! names the noisiest one.
 
-use crate::arrival::{arrival_times, ArrivalConfig};
+use crate::arrival::{arrival_times, ArrivalConfig, ArrivalProcess};
 use crate::queue::{simulate, QueueOutcome};
 use analysis::online::{classify, DetectorConfig, Finding};
 use analysis::{classify_fleet, FleetFinding};
@@ -113,8 +113,18 @@ impl FleetConfig {
         if self.slots == 0 {
             return Err("--slots must be non-zero".into());
         }
-        if self.arrival.rate_per_mcycle <= 0.0 {
-            return Err("--arrival-rate must be positive".into());
+        let rate = self.arrival.rate_per_mcycle;
+        if !rate.is_finite() || rate <= 0.0 {
+            return Err(format!(
+                "--arrival-rate must be finite and positive, got {rate}"
+            ));
+        }
+        if let ArrivalProcess::Bursty { factor, .. } = self.arrival.process {
+            if !factor.is_finite() || factor < 1.0 {
+                return Err(format!(
+                    "--burst must be finite and at least 1, got {factor}"
+                ));
+            }
         }
         // Instances differ only in seed, so one shaped config stands for
         // all of them: reject it before any worker starts.

@@ -578,7 +578,7 @@ pub fn run_cell(cfg: &MatrixConfig, cell: Cell) -> SimResult<CellReport> {
         };
         let n = match cell.disturb.action() {
             None => 1,
-            Some(_) => cfg.schedules.max(1),
+            Some(_) => cfg.schedules,
         };
         for index in 0..n {
             let schedule = match cell.disturb.action() {

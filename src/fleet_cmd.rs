@@ -64,7 +64,7 @@ impl Default for FleetOptions {
 }
 
 fn to_config(workload: Workload, opts: &FleetOptions) -> FleetConfig {
-    let process = if opts.burst > 1.0 {
+    let process = if opts.burst != 1.0 {
         ArrivalProcess::Bursty {
             factor: opts.burst,
             switch_p: 0.05,

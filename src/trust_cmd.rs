@@ -62,6 +62,9 @@ fn ndjson_line(r: &CellReport) -> Json {
 /// Runs the selected matrix slice. Returns `Ok(true)` when every
 /// `rdpmc-fixup` cell came back exact.
 pub fn run(opts: &TrustOptions) -> Result<bool, String> {
+    if opts.cfg.schedules == 0 {
+        return Err("--schedules must be non-zero".to_string());
+    }
     let cells = enumerate_cells(&opts.events, &opts.methods, &opts.disturbs);
     if cells.is_empty() {
         return Err("empty matrix slice — nothing selected".to_string());
@@ -119,7 +122,6 @@ pub fn run(opts: &TrustOptions) -> Result<bool, String> {
     std::fs::write(&matrix_path, ndjson).map_err(|e| format!("cannot write {matrix_path}: {e}"))?;
     println!("wrote {matrix_path}");
 
-    let timings = bench::spans::drain();
     let summary = Json::object()
         .set("schema", 1u64)
         .set("jobs", opts.jobs)
@@ -127,20 +129,7 @@ pub fn run(opts: &TrustOptions) -> Result<bool, String> {
         .set("exact", exact)
         .set("bounded_error", bounded)
         .set("unreliable", unreliable)
-        .set(
-            "timings",
-            Json::Array(
-                timings
-                    .iter()
-                    .map(|s| {
-                        Json::object()
-                            .set("name", s.name.as_str())
-                            .set("start_ms", s.start_ms)
-                            .set("wall_ms", s.wall_ms)
-                    })
-                    .collect(),
-            ),
-        );
+        .set("timings", bench::spans::drain_json());
     let summary_path = format!("{}/trust-summary.json", opts.out_dir);
     std::fs::write(&summary_path, summary.pretty())
         .map_err(|e| format!("cannot write {summary_path}: {e}"))?;

@@ -1,34 +1,22 @@
 //! The committed `results/` directory is exactly the gated output of
-//! `limit-repro run all`: one `<name>.json` per experiment that `list`
-//! prints, plus `run-summary.json`, and nothing else. A stale hand-kept
-//! copy or an experiment added without a committed table fails here.
+//! `limit-repro run all`: one `<name>.json` per row of
+//! `bench::experiments::ALL`, plus `run-summary.json`, and nothing else.
+//! Every experiment must regenerate its file byte for byte. A stale
+//! hand-kept copy, an experiment added without a committed table, or a
+//! change to any table fails here.
 
+use bench::experiments::ALL;
+use sim_core::parallel::{default_jobs, parmap_with};
 use std::collections::BTreeSet;
-use std::process::Command;
+
+const RESULTS: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results");
 
 #[test]
 fn results_hold_one_file_per_experiment() {
-    let out = Command::new(env!("CARGO_BIN_EXE_limit-repro"))
-        .arg("list")
-        .output()
-        .expect("spawn limit-repro");
-    assert!(out.status.success(), "`list` failed");
-    let stdout = String::from_utf8(out.stdout).expect("utf-8 listing");
-    // Experiment lines sit between the header and the `workloads:` line,
-    // each as `  <name> <description>`.
-    let mut want: BTreeSet<String> = stdout
-        .lines()
-        .skip_while(|l| *l != "available experiments:")
-        .skip(1)
-        .take_while(|l| l.starts_with("  "))
-        .filter_map(|l| l.split_whitespace().next())
-        .map(|name| format!("{name}.json"))
-        .collect();
-    assert!(want.len() > 1, "no experiments parsed from:\n{stdout}");
+    let mut want: BTreeSet<String> = ALL.iter().map(|e| format!("{}.json", e.name)).collect();
     want.insert("run-summary.json".into());
 
-    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/results");
-    let got: BTreeSet<String> = std::fs::read_dir(dir)
+    let got: BTreeSet<String> = std::fs::read_dir(RESULTS)
         .expect("read results/")
         .map(|e| {
             e.expect("dir entry")
@@ -38,4 +26,17 @@ fn results_hold_one_file_per_experiment() {
         })
         .collect();
     assert_eq!(got, want, "results/ is not one file per experiment");
+}
+
+/// `run all --check results/` in process: every experiment runs and is
+/// compared with its committed file through the same check the CLI uses.
+/// The failure names every experiment that errored or differs.
+#[test]
+fn results_regenerate_byte_for_byte() {
+    let runs = parmap_with(default_jobs(), ALL.iter().collect(), |exp| (exp, exp.run()));
+    let failures: Vec<String> = runs
+        .iter()
+        .filter_map(|(exp, output)| exp.check(output, RESULTS).err())
+        .collect();
+    assert!(failures.is_empty(), "{}", failures.join("\n"));
 }
